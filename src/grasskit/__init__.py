@@ -6,6 +6,10 @@ readout construction, points realizes superdomain points and
 superfunction evaluation, semigroup lets finite-range endomorphisms act
 on points of all ranks at once, derham is the super de Rham complex,
 and syntax plus cli expose everything as text.
+
+The three value classes GrassmannElement, SuperFunction and SuperForm
+share one sparse term-map core (grassmann.TermMap) and differ only in
+their monomial keys, their merge rule for products, and their printing.
 """
 
 from .errors import (
@@ -28,12 +32,10 @@ from .grassmann import (
     Parity,
     Scalar,
     body,
-    change_rank,
     filtration_level,
     generator,
     include_rank,
     invert,
-    lin_comb,
     monomial_basis,
     monomial_element,
     mul,

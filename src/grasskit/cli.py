@@ -245,45 +245,29 @@ def _run_derham_cohomology(args, payload):
 _PARSE_CHECK_KINDS = ("element", "superfunction", "form", "hom", "endo", "point")
 
 
+def _parse_check_context(args, rank) -> dict:
+    """syntax.parse context for every kind; each kind reads its own keys."""
+    m, n = args.dims or (None, None)
+    target = args.target_rank if args.target_rank is not None else rank
+    return dict(rank=rank, default_rank=rank, source_rank=rank,
+                target_rank=target, even_dim=m, odd_dim=n)
+
+
 def _prepare_parse_check(args):
     kind = args.kind
     if kind in ("superfunction", "form", "point") and args.dims is None:
         raise ParseError(f"--dims is required for kind {kind}")
     if kind == "hom" and args.rank is None:
         raise ParseError("-q is required for kind hom")
-    if kind == "element":
-        value = syntax.parse_element(args.text, args.rank)
-    elif kind == "superfunction":
-        spec = SuperDomainSpec(*args.dims)
-        value = syntax.parse_superfunction(args.text, spec)
-    elif kind == "form":
-        value = syntax.parse_form(args.text, *args.dims)
-    elif kind == "hom":
-        target = args.target_rank if args.target_rank is not None else args.rank
-        value = syntax.parse_hom(args.text, args.rank, target)
-    elif kind == "endo":
-        value = syntax.parse_endo(args.text)
-    else:
-        spec = SuperDomainSpec(*args.dims)
-        value = syntax.parse_point(args.text, spec, args.rank)
-    return value
+    return syntax.parse(kind, args.text, **_parse_check_context(args, args.rank))
 
 
 def _run_parse_check(args, value):
     text = syntax.print_canonical(value)
-    # a canonical print must parse back to the very same value
-    if args.kind == "element":
-        again = syntax.parse_element(text, value.rank)
-    elif args.kind == "superfunction":
-        again = syntax.parse_superfunction(text, value.spec)
-    elif args.kind == "form":
-        again = syntax.parse_form(text, value.even_dim, value.odd_dim)
-    elif args.kind == "hom":
-        again = syntax.parse_hom(text, value.source_rank, value.target_rank)
-    elif args.kind == "endo":
-        again = syntax.parse_endo(text)
-    else:
-        again = syntax.parse_point(text, value.spec, value.rank)
+    # a canonical print must parse back to the very same value; it drops
+    # any q= prefix, so elements and points re-parse at their own rank
+    rank = getattr(value, "rank", args.rank)
+    again = syntax.parse(args.kind, text, **_parse_check_context(args, rank))
     if again != value:
         raise GrasskitError("canonical text did not round-trip")
     if args.json:

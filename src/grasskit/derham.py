@@ -24,6 +24,15 @@ d i_E + i_E d = w * id.  That identity kills every cohomology block of
 positive weight, which is why the cohomology reduces to the constants:
 H^0 = 1 and H^p = 0 for p >= 1.
 
+A derivation D acts on a monomial m one generator g at a time:
+
+    D(m) = sum over g in m of e_g (-1)^(|g| |m_<g|) D(g) m/g
+
+with e_g the exponent of g in m, |.| total parity, m_<g the factors of
+m written before g, and m/g the monomial m with g's exponent lowered by
+one.  The sign is D's own (-1)^(|D| |m_<g|) times the cost
+(-1)^(|D(g)| |m_<g|) of moving D(g) to the front, as |D(g)| = |D| + |g|.
+
 All coefficients are exact rationals and all values immutable.
 """
 
@@ -31,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
+from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
@@ -43,7 +52,18 @@ from .errors import (
     NotClosed,
     ParityViolation,
 )
-from .grassmann import ScalarLike, as_scalar, indices_of, merge_sign, sort_with_sign
+from .grassmann import (
+    ScalarLike,
+    TermMap,
+    accumulate,
+    as_scalar,
+    indices_of,
+    merge_sign,
+    power_names,
+    product,
+    render_terms,
+    sort_with_sign,
+)
 
 __all__ = [
     "FormMonomial",
@@ -128,10 +148,12 @@ def _wedge_mono(a: FormMonomial, b: FormMonomial) -> tuple[FormMonomial, int] | 
     return mono, sign
 
 
-class SuperForm:
+class SuperForm(TermMap):
     """A differential form on a superdomain, as a sparse monomial sum."""
 
-    __slots__ = ("_even_dim", "_odd_dim", "_terms", "_hash")
+    __slots__ = ()
+
+    _sort_key = staticmethod(FormMonomial.sort_key)
 
     def __init__(self, even_dim: int, odd_dim: int, terms: Mapping[FormMonomial, Fraction]):
         if even_dim < 0 or odd_dim < 0:
@@ -149,19 +171,19 @@ class SuperForm:
                 raise ValueError("exponents must be nonnegative")
             if not isinstance(coeff, Fraction) or coeff == 0:
                 raise ValueError("coefficients must be nonzero Fractions")
-        self._even_dim = even_dim
-        self._odd_dim = odd_dim
-        self._terms = dict(terms)
-        self._hash: int | None = None
+        super().__init__((even_dim, odd_dim), terms)
 
-    @classmethod
-    def _make(cls, even_dim, odd_dim, terms) -> "SuperForm":
-        self = object.__new__(cls)
-        self._even_dim = even_dim
-        self._odd_dim = odd_dim
-        self._terms = terms
-        self._hash = None
-        return self
+    @staticmethod
+    def _unit(space: tuple[int, int]) -> FormMonomial:
+        return FormMonomial((0,) * space[0], 0, 0, (0,) * space[1])
+
+    def _mismatch(self, other: "SuperForm", verb: str) -> IndexOutOfRange:
+        return IndexOutOfRange(
+            f"forms live on different domains: {self._space} vs {other._space}"
+        )
+
+    def _times(self, other: "SuperForm") -> "SuperForm":
+        return wedge(self, other)
 
     @classmethod
     def from_terms(
@@ -198,32 +220,16 @@ class SuperForm:
             if coeff == 0:
                 continue
             mono = FormMonomial(x_exp, xi_mask, dx_mask, dxi_exp)
-            signed = coeff * s1 * s2
-            new = acc.get(mono, Fraction(0)) + signed
-            if new:
-                acc[mono] = new
-            else:
-                acc.pop(mono, None)
-        return cls._make(even_dim, odd_dim, acc)
+            accumulate(acc, mono, coeff * s1 * s2)
+        return cls._make((even_dim, odd_dim), acc)
 
     @property
     def even_dim(self) -> int:
-        return self._even_dim
+        return self._space[0]
 
     @property
     def odd_dim(self) -> int:
-        return self._odd_dim
-
-    @property
-    def terms(self) -> Mapping[FormMonomial, Fraction]:
-        return MappingProxyType(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def items(self) -> list[tuple[FormMonomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
+        return self._space[1]
 
     @property
     def form_degree(self) -> int | None:
@@ -246,124 +252,23 @@ class SuperForm:
         buckets: dict[int, dict[FormMonomial, Fraction]] = {}
         for mono, coeff in self._terms.items():
             buckets.setdefault(mono.weight, {})[mono] = coeff
-        return {
-            w: SuperForm._make(self._even_dim, self._odd_dim, terms)
-            for w, terms in sorted(buckets.items())
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SuperForm):
-            return NotImplemented
-        return (
-            self._even_dim == other._even_dim
-            and self._odd_dim == other._odd_dim
-            and self._terms == other._terms
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(
-                (self._even_dim, self._odd_dim, frozenset(self._terms.items()))
-            )
-        return self._hash
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def _check_same_domain(self, other: "SuperForm") -> None:
-        if self._even_dim != other._even_dim or self._odd_dim != other._odd_dim:
-            raise IndexOutOfRange(
-                f"forms live on different domains: "
-                f"({self._even_dim}, {self._odd_dim}) vs "
-                f"({other._even_dim}, {other._odd_dim})"
-            )
-
-    def __add__(self, other: "SuperForm") -> "SuperForm":
-        if not isinstance(other, SuperForm):
-            return NotImplemented
-        self._check_same_domain(other)
-        acc = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            new = acc.get(mono, Fraction(0)) + coeff
-            if new:
-                acc[mono] = new
-            else:
-                acc.pop(mono, None)
-        return SuperForm._make(self._even_dim, self._odd_dim, acc)
-
-    def __neg__(self) -> "SuperForm":
-        return SuperForm._make(
-            self._even_dim, self._odd_dim, {m: -c for m, c in self._terms.items()}
-        )
-
-    def __sub__(self, other: "SuperForm") -> "SuperForm":
-        if not isinstance(other, SuperForm):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, SuperForm):
-            return wedge(self, other)
-        if isinstance(other, (int, Fraction)):
-            c = as_scalar(other)
-            if c == 0:
-                return SuperForm._make(self._even_dim, self._odd_dim, {})
-            return SuperForm._make(
-                self._even_dim,
-                self._odd_dim,
-                {m: coeff * c for m, coeff in self._terms.items()},
-            )
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "SuperForm":
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        result = constant_form(self._even_dim, self._odd_dim, 1)
-        for _ in range(exponent):
-            result = wedge(result, self)
-        return result
+        return {w: self._make(self._space, terms) for w, terms in sorted(buckets.items())}
 
     def to_text(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for mono, coeff in self.items():
-            factors = []
-            for i, e in enumerate(mono.x_exp, start=1):
-                if e == 1:
-                    factors.append(f"x{i}")
-                elif e > 1:
-                    factors.append(f"x{i}^{e}")
-            factors.extend(f"xi{a}" for a in indices_of(mono.xi_mask))
-            factors.extend(f"dx{i}" for i in indices_of(mono.dx_mask))
-            for a, e in enumerate(mono.dxi_exp, start=1):
-                if e == 1:
-                    factors.append(f"dxi{a}")
-                elif e > 1:
-                    factors.append(f"dxi{a}^{e}")
-            body = "*".join(factors)
-            mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not chunks:
-                chunks.append(text if coeff > 0 else f"-{text}")
-            else:
-                chunks.append(f"+ {text}" if coeff > 0 else f"- {text}")
-        return " ".join(chunks)
+        def factors(mono: FormMonomial) -> list[str]:
+            return (
+                power_names("x", mono.x_exp)
+                + [f"xi{a}" for a in indices_of(mono.xi_mask)]
+                + [f"dx{i}" for i in indices_of(mono.dx_mask)]
+                + power_names("dxi", mono.dxi_exp)
+            )
+
+        return render_terms(self.items(), factors)
 
     def to_json(self) -> dict:
         return {
-            "even_dim": self._even_dim,
-            "odd_dim": self._odd_dim,
+            "even_dim": self._space[0],
+            "odd_dim": self._space[1],
             "terms": [
                 {
                     "x_exponents": list(mono.x_exp),
@@ -393,188 +298,111 @@ class SuperForm:
             ],
         )
 
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __repr__(self) -> str:
-        return (
-            f"SuperForm(({self._even_dim}, {self._odd_dim}), {self.to_text()!r})"
-        )
-
 
 def constant_form(even_dim: int, odd_dim: int, value: ScalarLike) -> SuperForm:
-    c = as_scalar(value)
-    mono = FormMonomial((0,) * even_dim, 0, 0, (0,) * odd_dim)
-    return SuperForm._make(even_dim, odd_dim, {mono: c} if c else {})
+    return SuperForm._scalar((even_dim, odd_dim), as_scalar(value))
 
 
-def _unit_mono(even_dim: int, odd_dim: int, kind: str, index: int) -> FormMonomial:
+def _unit_form(even_dim: int, odd_dim: int, kind: str, index: int) -> SuperForm:
+    """The generator of the given kind ("x", "xi", "dx" or "dxi")."""
+    dim = even_dim if kind in ("x", "dx") else odd_dim
+    if index < 1 or index > dim:
+        raise IndexOutOfRange(f"{kind} index {index} outside 1..{dim}")
+    x_exp, dxi_exp = [0] * even_dim, [0] * odd_dim
+    xi_mask = dx_mask = 0
     if kind == "x":
-        if index < 1 or index > even_dim:
-            raise IndexOutOfRange(f"x index {index} outside 1..{even_dim}")
-        return FormMonomial(
-            tuple(1 if i == index else 0 for i in range(1, even_dim + 1)),
-            0,
-            0,
-            (0,) * odd_dim,
-        )
-    if kind == "xi":
-        if index < 1 or index > odd_dim:
-            raise IndexOutOfRange(f"xi index {index} outside 1..{odd_dim}")
-        return FormMonomial((0,) * even_dim, 1 << (index - 1), 0, (0,) * odd_dim)
-    if kind == "dx":
-        if index < 1 or index > even_dim:
-            raise IndexOutOfRange(f"dx index {index} outside 1..{even_dim}")
-        return FormMonomial((0,) * even_dim, 0, 1 << (index - 1), (0,) * odd_dim)
-    if kind == "dxi":
-        if index < 1 or index > odd_dim:
-            raise IndexOutOfRange(f"dxi index {index} outside 1..{odd_dim}")
-        return FormMonomial(
-            (0,) * even_dim,
-            0,
-            0,
-            tuple(1 if a == index else 0 for a in range(1, odd_dim + 1)),
-        )
-    raise ValueError(f"unknown generator kind {kind!r}")
+        x_exp[index - 1] = 1
+    elif kind == "xi":
+        xi_mask = 1 << (index - 1)
+    elif kind == "dx":
+        dx_mask = 1 << (index - 1)
+    else:
+        dxi_exp[index - 1] = 1
+    mono = FormMonomial(tuple(x_exp), xi_mask, dx_mask, tuple(dxi_exp))
+    return SuperForm._make((even_dim, odd_dim), {mono: Fraction(1)})
 
 
 def x_form(even_dim: int, odd_dim: int, index: int) -> SuperForm:
-    return SuperForm._make(
-        even_dim, odd_dim, {_unit_mono(even_dim, odd_dim, "x", index): Fraction(1)}
-    )
+    return _unit_form(even_dim, odd_dim, "x", index)
 
 
 def xi_form(even_dim: int, odd_dim: int, index: int) -> SuperForm:
-    return SuperForm._make(
-        even_dim, odd_dim, {_unit_mono(even_dim, odd_dim, "xi", index): Fraction(1)}
-    )
+    return _unit_form(even_dim, odd_dim, "xi", index)
 
 
 def dx_form(even_dim: int, odd_dim: int, index: int) -> SuperForm:
-    return SuperForm._make(
-        even_dim, odd_dim, {_unit_mono(even_dim, odd_dim, "dx", index): Fraction(1)}
-    )
+    return _unit_form(even_dim, odd_dim, "dx", index)
 
 
 def dxi_form(even_dim: int, odd_dim: int, index: int) -> SuperForm:
-    return SuperForm._make(
-        even_dim, odd_dim, {_unit_mono(even_dim, odd_dim, "dxi", index): Fraction(1)}
-    )
+    return _unit_form(even_dim, odd_dim, "dxi", index)
 
 
 def wedge(a: SuperForm, b: SuperForm) -> SuperForm:
     """Exterior product with total-parity signs."""
-    a._check_same_domain(b)
-    acc: dict[FormMonomial, Fraction] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            merged = _wedge_mono(ma, mb)
-            if merged is None:
-                continue
-            mono, sign = merged
-            piece = ca * cb if sign > 0 else -(ca * cb)
-            new = acc.get(mono, Fraction(0)) + piece
-            if new:
-                acc[mono] = new
-            else:
-                acc.pop(mono, None)
-    return SuperForm._make(a.even_dim, a.odd_dim, acc)
+    a._check(b, "wedge")
+    return SuperForm._make(a._space, product(a._terms, b._terms, _wedge_mono))
 
 
-_SLOT_PARITY = {"x": 0, "xi": 1, "dx": 1, "dxi": 0}
+def _lower(exponents: tuple[int, ...], i: int) -> tuple[int, ...]:
+    return exponents[:i] + (exponents[i] - 1,) + exponents[i + 1 :]
 
 
-def _slots(mono: FormMonomial) -> list[tuple[str, int]]:
-    out: list[tuple[str, int]] = []
-    for i, e in enumerate(mono.x_exp, start=1):
-        out.extend(("x", i) for _ in range(e))
-    out.extend(("xi", a) for a in indices_of(mono.xi_mask))
-    out.extend(("dx", i) for i in indices_of(mono.dx_mask))
-    for a, e in enumerate(mono.dxi_exp, start=1):
-        out.extend(("dxi", a) for _ in range(e))
-    return out
+def _lowerings(mono: FormMonomial, kinds: Mapping[str, object]):
+    """(kind, index, e_g * sign, m/g) for each generator g of mono.
+
+    Only generators of the given kinds are visited; sign is
+    (-1)^(|g| |m_<g|), which only the odd generators xi and dx can make
+    negative.
+    """
+    x_exp, xi_mask, dx_mask, dxi_exp = mono
+    if "x" in kinds:
+        for i, e in enumerate(x_exp):
+            if e:
+                yield "x", i + 1, e, FormMonomial(_lower(x_exp, i), xi_mask, dx_mask, dxi_exp)
+    if "xi" in kinds:
+        for t, a in enumerate(indices_of(xi_mask)):
+            lowered = FormMonomial(x_exp, xi_mask ^ (1 << (a - 1)), dx_mask, dxi_exp)
+            yield "xi", a, -1 if t & 1 else 1, lowered
+    if "dx" in kinds:
+        for t, i in enumerate(indices_of(dx_mask), start=xi_mask.bit_count()):
+            lowered = FormMonomial(x_exp, xi_mask, dx_mask ^ (1 << (i - 1)), dxi_exp)
+            yield "dx", i, -1 if t & 1 else 1, lowered
+    if "dxi" in kinds:
+        for a, e in enumerate(dxi_exp):
+            if e:
+                yield "dxi", a + 1, e, FormMonomial(x_exp, xi_mask, dx_mask, _lower(dxi_exp, a))
 
 
-def _mono_from_slots(
-    even_dim: int, odd_dim: int, slots: Sequence[tuple[str, int]]
-) -> FormMonomial:
-    x_exp = [0] * even_dim
-    xi_mask = 0
-    dx_mask = 0
-    dxi_exp = [0] * odd_dim
-    for kind, idx in slots:
-        if kind == "x":
-            x_exp[idx - 1] += 1
-        elif kind == "xi":
-            xi_mask |= 1 << (idx - 1)
-        elif kind == "dx":
-            dx_mask |= 1 << (idx - 1)
-        else:
-            dxi_exp[idx - 1] += 1
-    return FormMonomial(tuple(x_exp), xi_mask, dx_mask, tuple(dxi_exp))
-
-
-def _derive(
-    form: SuperForm,
-    op_parity: int,
-    value_of: Callable[[str, int], SuperForm | None],
-) -> SuperForm:
+def _derive(form: SuperForm, values: Mapping[str, Callable[[int], SuperForm]]) -> SuperForm:
     """Apply a parity-homogeneous derivation given by generator values.
 
-    Each slot of each monomial is replaced in turn by its value, with
-    the sign (-1)**(op parity times the total parity of the prefix).
+    values[kind](index) is the value on a generator of that kind; the
+    derivation is zero on kinds missing from values.  Each value must be
+    homogeneous in total parity (see the module docstring).
     """
-    m, n = form.even_dim, form.odd_dim
+    space = form._space
     acc: dict[FormMonomial, Fraction] = {}
-    for mono, coeff in form.terms.items():
-        slots = _slots(mono)
-        prefix_parity = 0
-        for t, (kind, idx) in enumerate(slots):
-            val = value_of(kind, idx)
-            if val is not None and not val.is_zero:
-                sign = -1 if (op_parity and prefix_parity) else 1
-                prefix = _mono_from_slots(m, n, slots[:t])
-                suffix = _mono_from_slots(m, n, slots[t + 1 :])
-                piece = wedge(
-                    wedge(SuperForm._make(m, n, {prefix: Fraction(coeff * sign)}), val),
-                    SuperForm._make(m, n, {suffix: Fraction(1)}),
-                )
-                for pm, pc in piece.terms.items():
-                    new = acc.get(pm, Fraction(0)) + pc
-                    if new:
-                        acc[pm] = new
-                    else:
-                        acc.pop(pm, None)
-            prefix_parity ^= _SLOT_PARITY[kind]
-    return SuperForm._make(m, n, acc)
+    for mono, coeff in form._terms.items():
+        for kind, idx, weight, lowered in _lowerings(mono, values):
+            val = values[kind](idx)
+            if val:
+                rest = SuperForm._make(space, {lowered: coeff * weight})
+                for key, c in wedge(val, rest)._terms.items():
+                    accumulate(acc, key, c)
+    return SuperForm._make(space, acc)
 
 
 def exterior_d(form: SuperForm) -> SuperForm:
     """The differential: parity-1 derivation, x -> dx, xi -> dxi."""
-    m, n = form.even_dim, form.odd_dim
-
-    def value_of(kind: str, idx: int) -> SuperForm | None:
-        if kind == "x":
-            return dx_form(m, n, idx)
-        if kind == "xi":
-            return dxi_form(m, n, idx)
-        return None
-
-    return _derive(form, 1, value_of)
+    m, n = form._space
+    return _derive(form, {"x": partial(dx_form, m, n), "xi": partial(dxi_form, m, n)})
 
 
 def euler_contract(form: SuperForm) -> SuperForm:
     """Contraction with the Euler field: dx -> x, dxi -> xi."""
-    m, n = form.even_dim, form.odd_dim
-
-    def value_of(kind: str, idx: int) -> SuperForm | None:
-        if kind == "dx":
-            return x_form(m, n, idx)
-        if kind == "dxi":
-            return xi_form(m, n, idx)
-        return None
-
-    return _derive(form, 1, value_of)
+    m, n = form._space
+    return _derive(form, {"dx": partial(x_form, m, n), "dxi": partial(xi_form, m, n)})
 
 
 @dataclass(frozen=True)
@@ -641,14 +469,10 @@ def graded_derivation_apply(spec: DerivationSpec, f: SuperForm) -> SuperForm:
     if not f.is_zero and f.form_degree != 0:
         raise ValueError("graded derivations act on degree-0 forms")
 
-    def value_of(kind: str, idx: int) -> SuperForm | None:
-        if kind == "x":
-            return spec.x_values[idx - 1]
-        if kind == "xi":
-            return spec.xi_values[idx - 1]
-        return None
-
-    return _derive(f, spec.parity, value_of)
+    return _derive(
+        f,
+        {"x": lambda i: spec.x_values[i - 1], "xi": lambda i: spec.xi_values[i - 1]},
+    )
 
 
 def antiderivative(form: SuperForm) -> SuperForm:
@@ -736,7 +560,7 @@ def cohomology_dims(
     blocks = form_blocks(even_dim, odd_dim, max_degree, max_weight, budget)
     ranks: dict[tuple[int, int], int] = {}
     for (p, w), monos in blocks.items():
-        images = [exterior_d(SuperForm._make(even_dim, odd_dim, {m: Fraction(1)})) for m in monos]
+        images = [exterior_d(SuperForm._make((even_dim, odd_dim), {m: Fraction(1)})) for m in monos]
         target_index: dict[FormMonomial, int] = {}
         for img in images:
             for mono in img.terms:
@@ -781,7 +605,7 @@ def cohomology_dims_by_homotopy(
     blocks = form_blocks(even_dim, odd_dim, max_degree, max_weight, budget)
     for (p, w), monos in blocks.items():
         for mono in monos:
-            single = SuperForm._make(even_dim, odd_dim, {mono: Fraction(1)})
+            single = SuperForm._make((even_dim, odd_dim), {mono: Fraction(1)})
             homotopy = exterior_d(euler_contract(single)) + euler_contract(
                 exterior_d(single)
             )

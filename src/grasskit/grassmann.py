@@ -9,6 +9,14 @@ their index sets overlap and otherwise picks up the sign of the merge:
 one factor of -1 per pair (a, b) with a in the left set, b in the right
 set, and a > b.
 
+The sparse term map itself lives in TermMap, the core shared by
+GrassmannElement, points.SuperFunction and derham.SuperForm.  It holds
+the value operations (sums, scalar multiples, powers, equality, hashing,
+ordered printing) and the pair-loop product; each value class only
+supplies its key type and order, its monomial merge rule, its factor
+names and JSON shape, and the error raised when operands do not share a
+rank or domain.
+
 The monomial order used everywhere deterministic output matters
 (printing, serialization, echelon pivots, tie-breaking) sorts by
 cardinality first, then lexicographically by the index tuple.
@@ -36,6 +44,11 @@ __all__ = [
     "Scalar",
     "ScalarLike",
     "Parity",
+    "TermMap",
+    "accumulate",
+    "product",
+    "render_terms",
+    "power_names",
     "GrassmannElement",
     "as_scalar",
     "mask_of",
@@ -51,7 +64,6 @@ __all__ = [
     "monomial_element",
     "monomial_basis",
     "normalize",
-    "lin_comb",
     "mul",
     "body",
     "parity_decompose",
@@ -59,7 +71,6 @@ __all__ = [
     "invert",
     "include_rank",
     "project_rank",
-    "change_rank",
 ]
 
 Scalar = Fraction
@@ -73,6 +84,183 @@ def as_scalar(value: ScalarLike) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"exact scalar expected, got {type(value).__name__}")
+
+
+# ------------------------------------------------------ term-map core
+
+def accumulate(acc: dict, key, coeff: Fraction) -> None:
+    """Add a nonzero coeff at key, dropping the key when the sum vanishes."""
+    old = acc.get(key)
+    new = coeff if old is None else old + coeff
+    if new:
+        acc[key] = new
+    else:
+        del acc[key]
+
+
+def product(a_terms: Mapping, b_terms: Mapping, merge) -> dict:
+    """Bilinear product of two term maps.
+
+    merge(ka, kb) returns (key, sign) for the product of two monomials,
+    or None when that product vanishes.
+    """
+    acc: dict = {}
+    get = acc.get
+    for ka, ca in a_terms.items():
+        for kb, cb in b_terms.items():
+            merged = merge(ka, kb)
+            if merged is None:
+                continue
+            key, sign = merged
+            piece = ca * cb if sign > 0 else -(ca * cb)
+            # accumulate(), inlined: this is the innermost loop of mul
+            old = get(key)
+            new = piece if old is None else old + piece
+            if new:
+                acc[key] = new
+            else:
+                del acc[key]
+    return acc
+
+
+def render_terms(items: Iterable[tuple[object, Fraction]], factors) -> str:
+    """Text of a sum of ordered (key, coeff) terms.
+
+    factors(key) lists the factor names of a monomial; the empty list is
+    the unit monomial.
+    """
+    chunks: list[str] = []
+    for key, coeff in items:
+        body = "*".join(factors(key))
+        mag = abs(coeff)
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        if not chunks:
+            chunks.append(text if coeff > 0 else f"-{text}")
+        else:
+            chunks.append(f"+ {text}" if coeff > 0 else f"- {text}")
+    return " ".join(chunks) if chunks else "0"
+
+
+def power_names(name: str, exponents: Sequence[int]) -> list[str]:
+    """Factor names nameK or nameK^e for the nonzero exponents."""
+    return [
+        f"{name}{i}" if e == 1 else f"{name}{i}^{e}"
+        for i, e in enumerate(exponents, start=1)
+        if e
+    ]
+
+
+class TermMap:
+    """An immutable sparse map from monomial keys to nonzero Fractions.
+
+    _space is what two operands must share: a rank, or a pair of
+    dimensions.  A subclass supplies _unit (the unit monomial of a
+    space), _sort_key (the canonical key order), _times (the product of
+    two values), _mismatch (the error for operands in different spaces)
+    and to_text.
+    """
+
+    __slots__ = ("_space", "_terms", "_hash")
+
+    def __init__(self, space, terms: Mapping[object, Fraction]):
+        self._space = space
+        self._terms = dict(terms)
+        self._hash: int | None = None
+
+    @classmethod
+    def _make(cls, space, terms: dict):
+        # trusted path for canonical dicts produced internally
+        self = object.__new__(cls)
+        self._space = space
+        self._terms = terms
+        self._hash = None
+        return self
+
+    @classmethod
+    def _scalar(cls, space, c: Fraction):
+        return cls._make(space, {cls._unit(space): c} if c else {})
+
+    @property
+    def terms(self) -> Mapping[object, Fraction]:
+        """Read-only view of the monomial -> coefficient map."""
+        return MappingProxyType(self._terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def items(self) -> list[tuple[object, Fraction]]:
+        """Terms as (key, coeff) pairs in canonical monomial order."""
+        sort_key = self._sort_key
+        return sorted(self._terms.items(), key=lambda kv: sort_key(kv[0]))
+
+    def _check(self, other: "TermMap", verb: str) -> None:
+        if self._space != other._space:
+            raise self._mismatch(other, verb)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._space == other._space and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self._space, frozenset(self._terms.items())))
+        return self._hash
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other, "add")
+        acc = dict(self._terms)
+        for key, coeff in other._terms.items():
+            accumulate(acc, key, coeff)
+        return self._make(self._space, acc)
+
+    def __neg__(self):
+        return self._make(self._space, {k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            return self._times(other)
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(as_scalar(other))
+        return NotImplemented
+
+    # only scalars reach __rmul__: a same-type left operand handles the product
+    __rmul__ = __mul__
+
+    def _scaled(self, c: Fraction):
+        if c == 0:
+            return self._make(self._space, {})
+        return self._make(self._space, {k: v * c for k, v in self._terms.items()})
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
+            return NotImplemented
+        result = self._scalar(self._space, Fraction(1))
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def __str__(self) -> str:
+        return self.to_text()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._space!r}, {self.to_text()!r})"
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -155,15 +343,18 @@ def _check_rank(rank: int) -> None:
         raise NonCanonicalRank(f"rank must be nonnegative, got {rank}")
 
 
-class GrassmannElement:
+class GrassmannElement(TermMap):
     """An element of the rank-q Grassmann algebra over the rationals.
 
-    Instances are immutable; arithmetic returns new elements.  Equality
-    compares both the rank and the term map, so equal-looking elements
-    of different ranks are distinct values.
+    Terms map monomial bitmasks to coefficients.  Instances are
+    immutable; arithmetic returns new elements.  Equality compares both
+    the rank and the term map, so equal-looking elements of different
+    ranks are distinct values.
     """
 
-    __slots__ = ("_rank", "_terms", "_hash")
+    __slots__ = ()
+
+    _sort_key = staticmethod(monomial_key)
 
     def __init__(self, rank: int, terms: Mapping[int, Fraction]):
         _check_rank(rank)
@@ -177,35 +368,23 @@ class GrassmannElement:
                 raise TypeError("coefficients must be Fraction")
             if coeff == 0:
                 raise ValueError("zero coefficients must be dropped")
-        self._rank = rank
-        self._terms = dict(terms)
-        self._hash: int | None = None
+        super().__init__(rank, terms)
 
-    @classmethod
-    def _make(cls, rank: int, terms: dict[int, Fraction]) -> "GrassmannElement":
-        # trusted path for canonical dicts produced internally
-        self = object.__new__(cls)
-        self._rank = rank
-        self._terms = terms
-        self._hash = None
-        return self
+    @staticmethod
+    def _unit(rank: int) -> int:
+        return 0
+
+    def _mismatch(self, other: "GrassmannElement", verb: str) -> RankMismatch:
+        return RankMismatch(
+            f"cannot {verb} rank {self._space} and rank {other._space} elements"
+        )
+
+    def _times(self, other: "GrassmannElement") -> "GrassmannElement":
+        return mul(self, other)
 
     @property
     def rank(self) -> int:
-        return self._rank
-
-    @property
-    def terms(self) -> Mapping[int, Fraction]:
-        """Read-only view of the bitmask -> coefficient map."""
-        return MappingProxyType(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def items(self) -> list[tuple[int, Fraction]]:
-        """Terms as (mask, coeff) pairs in canonical monomial order."""
-        return sorted(self._terms.items(), key=lambda kv: monomial_key(kv[0]))
+        return self._space
 
     def coefficient(self, monomial: int | Iterable[int]) -> Fraction:
         """Coefficient of a monomial, given as a bitmask or index set."""
@@ -218,8 +397,7 @@ class GrassmannElement:
 
     def soul(self) -> "GrassmannElement":
         """The element minus its body; always nilpotent."""
-        rest = {m: c for m, c in self._terms.items() if m}
-        return GrassmannElement._make(self._rank, rest)
+        return self._make(self._space, {m: c for m, c in self._terms.items() if m})
 
     @property
     def parity(self) -> Parity:
@@ -233,11 +411,11 @@ class GrassmannElement:
 
     def even_part(self) -> "GrassmannElement":
         kept = {m: c for m, c in self._terms.items() if m.bit_count() % 2 == 0}
-        return GrassmannElement._make(self._rank, kept)
+        return self._make(self._space, kept)
 
     def odd_part(self) -> "GrassmannElement":
         kept = {m: c for m, c in self._terms.items() if m.bit_count() % 2 == 1}
-        return GrassmannElement._make(self._rank, kept)
+        return self._make(self._space, kept)
 
     def filtration_level(self):
         """Largest k such that every monomial has at least k factors.
@@ -249,57 +427,6 @@ class GrassmannElement:
             return inf
         return min(m.bit_count() for m in self._terms)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
-        return self._rank == other._rank and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._rank, frozenset(self._terms.items())))
-        return self._hash
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __add__(self, other: "GrassmannElement") -> "GrassmannElement":
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
-        if self._rank != other._rank:
-            raise RankMismatch(
-                f"cannot add rank {self._rank} and rank {other._rank} elements"
-            )
-        acc = dict(self._terms)
-        for mask, coeff in other._terms.items():
-            new = acc.get(mask, Fraction(0)) + coeff
-            if new:
-                acc[mask] = new
-            else:
-                acc.pop(mask, None)
-        return GrassmannElement._make(self._rank, acc)
-
-    def __neg__(self) -> "GrassmannElement":
-        return GrassmannElement._make(
-            self._rank, {m: -c for m, c in self._terms.items()}
-        )
-
-    def __sub__(self, other: "GrassmannElement") -> "GrassmannElement":
-        if not isinstance(other, GrassmannElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, GrassmannElement):
-            return mul(self, other)
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(as_scalar(other))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(as_scalar(other))
-        return NotImplemented
-
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             c = as_scalar(other)
@@ -309,21 +436,9 @@ class GrassmannElement:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "GrassmannElement":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
+        if isinstance(exponent, int) and exponent < 0:
             return invert(self) ** (-exponent)
-        result = one(self._rank)
-        for _ in range(exponent):
-            result = mul(result, self)
-        return result
-
-    def _scaled(self, c: Fraction) -> "GrassmannElement":
-        if c == 0:
-            return GrassmannElement._make(self._rank, {})
-        return GrassmannElement._make(
-            self._rank, {m: coeff * c for m, coeff in self._terms.items()}
-        )
+        return TermMap.__pow__(self, exponent)
 
     def to_text(self, zeta: bool = False) -> str:
         """Canonical text form, terms in (cardinality, lex) order.
@@ -332,35 +447,18 @@ class GrassmannElement:
         conventional name for the single generator of the rank-1 target
         algebra.
         """
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for mask, coeff in self.items():
-            if mask == 0:
-                factors = ""
-            else:
-                names = [
-                    "zeta" if (zeta and i == 1) else f"xi{i}"
-                    for i in indices_of(mask)
-                ]
-                factors = "*".join(names)
-            mag = abs(coeff)
-            if not factors:
-                text = str(mag)
-            elif mag == 1:
-                text = factors
-            else:
-                text = f"{mag}*{factors}"
-            if not chunks:
-                chunks.append(text if coeff > 0 else f"-{text}")
-            else:
-                chunks.append(f"+ {text}" if coeff > 0 else f"- {text}")
-        return " ".join(chunks)
+
+        def factors(mask: int) -> list[str]:
+            return [
+                "zeta" if (zeta and i == 1) else f"xi{i}" for i in indices_of(mask)
+            ]
+
+        return render_terms(self.items(), factors)
 
     def to_json(self) -> dict:
         """JSON-ready dict: rank plus terms in canonical order."""
         return {
-            "rank": self._rank,
+            "rank": self._space,
             "terms": [
                 {"indices": list(indices_of(mask)), "coeff": str(coeff)}
                 for mask, coeff in self.items()
@@ -374,12 +472,6 @@ class GrassmannElement:
         ]
         return normalize(doc["rank"], terms)
 
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"GrassmannElement({self._rank}, {self.to_text()!r})"
-
 
 def zero(rank: int) -> GrassmannElement:
     _check_rank(rank)
@@ -387,14 +479,12 @@ def zero(rank: int) -> GrassmannElement:
 
 
 def one(rank: int) -> GrassmannElement:
-    _check_rank(rank)
-    return GrassmannElement._make(rank, {0: Fraction(1)})
+    return scalar_element(rank, Fraction(1))
 
 
 def scalar_element(rank: int, value: ScalarLike) -> GrassmannElement:
     _check_rank(rank)
-    c = as_scalar(value)
-    return GrassmannElement._make(rank, {0: c} if c else {})
+    return GrassmannElement._scalar(rank, as_scalar(value))
 
 
 def generator(rank: int, index: int) -> GrassmannElement:
@@ -438,59 +528,20 @@ def normalize(
         mask, sign = sort_with_sign(list(indices))
         if sign == 0 or coeff == 0:
             continue
-        new = acc.get(mask, Fraction(0)) + (coeff if sign > 0 else -coeff)
-        if new:
-            acc[mask] = new
-        else:
-            acc.pop(mask, None)
+        accumulate(acc, mask, coeff if sign > 0 else -coeff)
     return GrassmannElement._make(rank, acc)
 
 
-def lin_comb(
-    pairs: Sequence[tuple[ScalarLike, GrassmannElement]]
-) -> GrassmannElement:
-    """Exact linear combination sum(c_i * a_i); pairs must share one rank."""
-    if not pairs:
-        raise ValueError("lin_comb needs at least one (scalar, element) pair")
-    rank = pairs[0][1].rank
-    acc: dict[int, Fraction] = {}
-    for raw_c, elem in pairs:
-        if elem.rank != rank:
-            raise RankMismatch(
-                f"mixed ranks {rank} and {elem.rank} in linear combination"
-            )
-        c = as_scalar(raw_c)
-        if c == 0:
-            continue
-        for mask, coeff in elem.terms.items():
-            new = acc.get(mask, Fraction(0)) + c * coeff
-            if new:
-                acc[mask] = new
-            else:
-                acc.pop(mask, None)
-    return GrassmannElement._make(rank, acc)
+def _merge_masks(left: int, right: int) -> tuple[int, int] | None:
+    if left & right:
+        return None
+    return left | right, merge_sign(left, right)
 
 
 def mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     """Product in the Grassmann algebra."""
-    if a.rank != b.rank:
-        raise RankMismatch(
-            f"cannot multiply rank {a.rank} and rank {b.rank} elements"
-        )
-    acc: dict[int, Fraction] = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            sign = merge_sign(ma, mb)
-            if sign == 0:
-                continue
-            mask = ma | mb
-            piece = ca * cb if sign > 0 else -(ca * cb)
-            new = acc.get(mask, Fraction(0)) + piece
-            if new:
-                acc[mask] = new
-            else:
-                acc.pop(mask, None)
-    return GrassmannElement._make(a.rank, acc)
+    a._check(b, "multiply")
+    return GrassmannElement._make(a._space, product(a._terms, b._terms, _merge_masks))
 
 
 def body(a: GrassmannElement) -> Fraction:
@@ -540,7 +591,7 @@ def include_rank(a: GrassmannElement, target: int) -> GrassmannElement:
         raise RankMismatch(
             f"cannot include rank {a.rank} into smaller rank {target}"
         )
-    return GrassmannElement._make(target, dict(a.terms))
+    return GrassmannElement._make(target, dict(a._terms))
 
 
 def project_rank(a: GrassmannElement, target: int) -> GrassmannElement:
@@ -556,11 +607,3 @@ def project_rank(a: GrassmannElement, target: int) -> GrassmannElement:
     kept = {m: c for m, c in a.terms.items() if m < limit}
     return GrassmannElement._make(target, kept)
 
-
-def change_rank(a: GrassmannElement, target: int, mode: str) -> GrassmannElement:
-    """Move an element between ranks; mode is "include" or "project"."""
-    if mode == "include":
-        return include_rank(a, target)
-    if mode == "project":
-        return project_rank(a, target)
-    raise ValueError(f"unknown change_rank mode {mode!r}")

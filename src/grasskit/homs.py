@@ -134,14 +134,20 @@ def apply_hom(hom: GradedHom, a: GrassmannElement) -> GrassmannElement:
     cache: dict[int, GrassmannElement] = {0: one(hom.target_rank)}
 
     def image_of(mask: int) -> GrassmannElement:
+        # image(mask) = image(lowest generator) * image(mask without it);
+        # peel generators off from the lowest bit until a cached image is
+        # found, then multiply them back on in reverse order
+        peeled = []
         found = cache.get(mask)
-        if found is not None:
-            return found
-        low = mask & -mask
-        rest = image_of(mask ^ low)
-        result = mul(hom.images[low.bit_length() - 1], rest)
-        cache[mask] = result
-        return result
+        while found is None:
+            peeled.append(mask)
+            mask ^= mask & -mask
+            found = cache.get(mask)
+        for mask in reversed(peeled):
+            low = mask & -mask
+            found = mul(hom.images[low.bit_length() - 1], found)
+            cache[mask] = found
+        return found
 
     total = zero(hom.target_rank)
     for mask, coeff in a.terms.items():

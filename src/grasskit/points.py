@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -32,10 +31,15 @@ from .grassmann import (
     GrassmannElement,
     Parity,
     ScalarLike,
+    TermMap,
+    accumulate,
     as_scalar,
     indices_of,
     merge_sign,
     mul,
+    power_names,
+    product,
+    render_terms,
     scalar_element,
     sort_with_sign,
     zero,
@@ -66,37 +70,36 @@ class SuperDomainSpec:
             raise NonCanonicalRank("dimensions must be nonnegative")
 
 
-def _term_key(key: tuple[tuple[int, ...], int]):
-    exponents, amask = key
-    return (
-        sum(exponents) + amask.bit_count(),
-        exponents,
-        indices_of(amask),
-    )
+_Key = tuple[tuple[int, ...], int]
 
 
-class SuperFunction:
+def _check_exponents(spec: SuperDomainSpec, exponents: tuple[int, ...]) -> None:
+    if len(exponents) != spec.even_dim:
+        raise DomainMismatch(f"{spec.even_dim} exponents expected, got {len(exponents)}")
+    if any(e < 0 for e in exponents):
+        raise ValueError("exponents must be nonnegative")
+
+
+def _merge_keys(a: _Key, b: _Key) -> tuple[_Key, int] | None:
+    sign = merge_sign(a[1], b[1])
+    if sign == 0:
+        return None
+    return (tuple(x + y for x, y in zip(a[0], b[0])), a[1] | b[1]), sign
+
+
+class SuperFunction(TermMap):
     """A polynomial superfunction on a superdomain.
 
     Terms map (even exponent tuple, odd index bitmask) to a nonzero
     rational coefficient.  Instances are immutable.
     """
 
-    __slots__ = ("_spec", "_terms", "_hash")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        spec: SuperDomainSpec,
-        terms: Mapping[tuple[tuple[int, ...], int], Fraction],
-    ):
+    def __init__(self, spec: SuperDomainSpec, terms: Mapping[_Key, Fraction]):
         limit = 1 << spec.odd_dim
         for (exponents, amask), coeff in terms.items():
-            if len(exponents) != spec.even_dim:
-                raise DomainMismatch(
-                    f"{spec.even_dim} exponents expected, got {len(exponents)}"
-                )
-            if any(e < 0 for e in exponents):
-                raise ValueError("exponents must be nonnegative")
+            _check_exponents(spec, exponents)
             if amask < 0 or amask >= limit:
                 raise IndexOutOfRange(
                     f"odd monomial {amask!r} does not fit in {spec.odd_dim} "
@@ -104,17 +107,23 @@ class SuperFunction:
                 )
             if not isinstance(coeff, Fraction) or coeff == 0:
                 raise ValueError("coefficients must be nonzero Fractions")
-        self._spec = spec
-        self._terms = dict(terms)
-        self._hash: int | None = None
+        super().__init__((spec.even_dim, spec.odd_dim), terms)
 
-    @classmethod
-    def _make(cls, spec, terms) -> "SuperFunction":
-        self = object.__new__(cls)
-        self._spec = spec
-        self._terms = terms
-        self._hash = None
-        return self
+    @staticmethod
+    def _unit(space: tuple[int, int]) -> _Key:
+        return ((0,) * space[0], 0)
+
+    @staticmethod
+    def _sort_key(key: _Key):
+        exponents, amask = key
+        return (sum(exponents) + amask.bit_count(), exponents, indices_of(amask))
+
+    def _mismatch(self, other: "SuperFunction", verb: str) -> DomainMismatch:
+        return DomainMismatch("superfunctions live on different domains")
+
+    def _times(self, other: "SuperFunction") -> "SuperFunction":
+        self._check(other, "multiply")
+        return self._make(self._space, product(self._terms, other._terms, _merge_keys))
 
     @classmethod
     def from_terms(
@@ -123,16 +132,11 @@ class SuperFunction:
         raw_terms: Iterable[tuple[Sequence[int], Sequence[int], ScalarLike]],
     ) -> "SuperFunction":
         """Build from raw (exponents, odd index sequence, coeff) triples."""
-        acc: dict[tuple[tuple[int, ...], int], Fraction] = {}
+        acc: dict[_Key, Fraction] = {}
         for exponents, odd_indices, raw_coeff in raw_terms:
             coeff = as_scalar(raw_coeff)
             exponents = tuple(exponents)
-            if len(exponents) != spec.even_dim:
-                raise DomainMismatch(
-                    f"{spec.even_dim} exponents expected, got {len(exponents)}"
-                )
-            if any(e < 0 for e in exponents):
-                raise ValueError("exponents must be nonnegative")
+            _check_exponents(spec, exponents)
             for a in odd_indices:
                 if a < 1 or a > spec.odd_dim:
                     raise IndexOutOfRange(
@@ -141,159 +145,46 @@ class SuperFunction:
             amask, sign = sort_with_sign(list(odd_indices))
             if sign == 0 or coeff == 0:
                 continue
-            key = (exponents, amask)
-            new = acc.get(key, Fraction(0)) + (coeff if sign > 0 else -coeff)
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
-        return cls._make(spec, acc)
+            accumulate(acc, (exponents, amask), coeff if sign > 0 else -coeff)
+        return cls._make((spec.even_dim, spec.odd_dim), acc)
 
     @classmethod
     def constant(cls, spec: SuperDomainSpec, value: ScalarLike) -> "SuperFunction":
-        c = as_scalar(value)
-        key = ((0,) * spec.even_dim, 0)
-        return cls._make(spec, {key: c} if c else {})
+        return cls._scalar((spec.even_dim, spec.odd_dim), as_scalar(value))
 
     @classmethod
     def coordinate(cls, spec: SuperDomainSpec, name: str, index: int) -> "SuperFunction":
         """The coordinate superfunction x_index or th_index."""
+        space = (spec.even_dim, spec.odd_dim)
         if name == "x":
             if index < 1 or index > spec.even_dim:
                 raise IndexOutOfRange(f"index {index} outside 1..{spec.even_dim}")
             exponents = tuple(
                 1 if i == index else 0 for i in range(1, spec.even_dim + 1)
             )
-            return cls._make(spec, {(exponents, 0): Fraction(1)})
+            return cls._make(space, {(exponents, 0): Fraction(1)})
         if name == "th":
             if index < 1 or index > spec.odd_dim:
                 raise IndexOutOfRange(f"index {index} outside 1..{spec.odd_dim}")
             key = ((0,) * spec.even_dim, 1 << (index - 1))
-            return cls._make(spec, {key: Fraction(1)})
+            return cls._make(space, {key: Fraction(1)})
         raise ValueError(f"unknown coordinate kind {name!r}")
 
     @property
     def spec(self) -> SuperDomainSpec:
-        return self._spec
-
-    @property
-    def terms(self) -> Mapping[tuple[tuple[int, ...], int], Fraction]:
-        return MappingProxyType(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def items(self) -> list[tuple[tuple[tuple[int, ...], int], Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: _term_key(kv[0]))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SuperFunction):
-            return NotImplemented
-        return self._spec == other._spec and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._spec, frozenset(self._terms.items())))
-        return self._hash
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __add__(self, other: "SuperFunction") -> "SuperFunction":
-        if not isinstance(other, SuperFunction):
-            return NotImplemented
-        if self._spec != other._spec:
-            raise DomainMismatch("superfunctions live on different domains")
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            new = acc.get(key, Fraction(0)) + coeff
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
-        return SuperFunction._make(self._spec, acc)
-
-    def __neg__(self) -> "SuperFunction":
-        return SuperFunction._make(
-            self._spec, {k: -c for k, c in self._terms.items()}
-        )
-
-    def __sub__(self, other: "SuperFunction") -> "SuperFunction":
-        if not isinstance(other, SuperFunction):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, SuperFunction):
-            if self._spec != other._spec:
-                raise DomainMismatch("superfunctions live on different domains")
-            acc: dict[tuple[tuple[int, ...], int], Fraction] = {}
-            for (e1, a1), c1 in self._terms.items():
-                for (e2, a2), c2 in other._terms.items():
-                    sign = merge_sign(a1, a2)
-                    if sign == 0:
-                        continue
-                    key = (tuple(x + y for x, y in zip(e1, e2)), a1 | a2)
-                    piece = c1 * c2 if sign > 0 else -(c1 * c2)
-                    new = acc.get(key, Fraction(0)) + piece
-                    if new:
-                        acc[key] = new
-                    else:
-                        acc.pop(key, None)
-            return SuperFunction._make(self._spec, acc)
-        if isinstance(other, (int, Fraction)):
-            c = as_scalar(other)
-            if c == 0:
-                return SuperFunction._make(self._spec, {})
-            return SuperFunction._make(
-                self._spec, {k: coeff * c for k, coeff in self._terms.items()}
-            )
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "SuperFunction":
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        result = SuperFunction.constant(self._spec, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return SuperDomainSpec(*self._space)
 
     def to_text(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for (exponents, amask), coeff in self.items():
-            factors = []
-            for i, e in enumerate(exponents, start=1):
-                if e == 1:
-                    factors.append(f"x{i}")
-                elif e > 1:
-                    factors.append(f"x{i}^{e}")
-            factors.extend(f"th{a}" for a in indices_of(amask))
-            body = "*".join(factors)
-            mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not chunks:
-                chunks.append(text if coeff > 0 else f"-{text}")
-            else:
-                chunks.append(f"+ {text}" if coeff > 0 else f"- {text}")
-        return " ".join(chunks)
+        def factors(key: _Key) -> list[str]:
+            exponents, amask = key
+            return power_names("x", exponents) + [f"th{a}" for a in indices_of(amask)]
+
+        return render_terms(self.items(), factors)
 
     def to_json(self) -> dict:
         return {
-            "even_dim": self._spec.even_dim,
-            "odd_dim": self._spec.odd_dim,
+            "even_dim": self._space[0],
+            "odd_dim": self._space[1],
             "terms": [
                 {
                     "exponents": list(exponents),
@@ -313,15 +204,6 @@ class SuperFunction:
                 (term["exponents"], term["odd_indices"], term["coeff"])
                 for term in doc["terms"]
             ],
-        )
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __repr__(self) -> str:
-        return (
-            f"SuperFunction(({self._spec.even_dim}, {self._spec.odd_dim}), "
-            f"{self.to_text()!r})"
         )
 
 

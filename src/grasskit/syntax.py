@@ -52,6 +52,14 @@ _TOKEN_RE = re.compile(
 _GEN_RE = re.compile(r"(dxi|dx|xi|x|th)(\d+)")
 
 
+def _to_int(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        # int() refuses digit strings longer than the interpreter's limit
+        raise ParseError(f"{len(digits)}-digit number is too long", pos) from None
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
@@ -60,14 +68,14 @@ def _tokenize(text: str) -> list[_Token]:
         if match is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if match.lastgroup == "number":
-            tokens.append(_Token("number", int(match.group()), pos))
+            tokens.append(_Token("number", _to_int(match.group(), pos), pos))
         elif match.lastgroup == "gen":
             word = match.group()
             if word == "zeta":
                 tokens.append(_Token("gen", ("zeta", 1), pos))
             else:
                 kind, index = _GEN_RE.fullmatch(word).groups()
-                tokens.append(_Token("gen", (kind, int(index)), pos))
+                tokens.append(_Token("gen", (kind, _to_int(index, pos)), pos))
         elif match.lastgroup == "q":
             tokens.append(_Token("q", "q", pos))
         elif match.lastgroup == "op":

@@ -5,6 +5,7 @@ import os
 import pathlib
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -205,6 +206,15 @@ def test_error_exit_codes(argv, expected_code, error_name):
     assert code == expected_code
     assert out == ""
     assert err.startswith(f"{error_name}: ")
+
+
+def test_overlong_literal_is_a_parse_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter does not cap int() digit strings")
+    code, out, err = run_cli(["mul", "-q", "1", "1" * (limit + 1), "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError: ") and "(at position 0)" in err
 
 
 def test_usage_errors_exit_2():

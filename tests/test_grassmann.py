@@ -21,12 +21,10 @@ from grasskit import (
     Parity,
     RankMismatch,
     body,
-    change_rank,
     filtration_level,
     generator,
     include_rank,
     invert,
-    lin_comb,
     monomial_basis,
     monomial_element,
     mul,
@@ -312,7 +310,6 @@ def test_project_drops_high_indices():
 def test_project_to_larger_rank_includes():
     a = generator(2, 1)
     assert project_rank(a, 4) == include_rank(a, 4)
-    assert change_rank(a, 4, "project") == change_rank(a, 4, "include")
 
 
 def test_include_rejects_shrinking():
@@ -329,11 +326,6 @@ def test_rank_changes_are_algebra_homs_on_basis():
                 got = mul(project_rank(a, target), project_rank(b, target))
                 assert want == got
         assert project_rank(one(rank), target) == one(target)
-
-
-def test_change_rank_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        change_rank(one(2), 3, "promote")
 
 
 # ------------------------------------------------- validation
@@ -355,8 +347,6 @@ def test_cross_rank_arithmetic_rejected():
         one(2) + one(3)
     with pytest.raises(RankMismatch):
         mul(one(2), one(3))
-    with pytest.raises(RankMismatch):
-        lin_comb([(F(1), one(2)), (F(1), one(3))])
 
 
 def test_float_coefficients_rejected():

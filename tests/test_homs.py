@@ -69,6 +69,12 @@ def test_make_hom_infers_target_rank():
     assert hom.target_rank == 3
 
 
+def test_apply_hom_on_a_1200_generator_monomial():
+    # deeper than the interpreter's default recursion limit
+    top = monomial_element(1200, range(1, 1201))
+    assert apply_hom(identity_hom(1200), top) == top
+
+
 def test_make_hom_empty_images_default_rank_zero():
     hom = make_hom(0, [])
     assert hom.target_rank == 0

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import support
 from grasskit import (
@@ -29,7 +30,8 @@ from grasskit import (
     scalar_element,
     zero,
 )
-from grasskit.grassmann import monomial_masks
+from grasskit.derham import SuperForm, wedge
+from grasskit.grassmann import indices_of, monomial_masks, normalize
 
 F = Fraction
 
@@ -221,6 +223,42 @@ def test_evaluation_naturality():
         assert apply_hom(hom, eval_superfunction(f, point)) == (
             eval_superfunction(f, induced_point_map(hom, point))
         )
+
+
+# ------------------------------------------------- one product, three classes
+
+def _as_form(f):
+    """The same terms as a degree-0 form, reading th_a as xi_a."""
+    m, n = f.spec.even_dim, f.spec.odd_dim
+    return SuperForm.from_terms(
+        m, n, [(exps, indices_of(amask), [], (0,) * n, c)
+               for (exps, amask), c in f.terms.items()]
+    )
+
+
+def _as_element(f):
+    """A function on the (0, q) domain as a rank-q element, th_a as xi_a."""
+    return normalize(
+        f.spec.odd_dim, [(indices_of(amask), c) for (_, amask), c in f.terms.items()]
+    )
+
+
+@given(st.integers(0, 3), st.integers(0, 4), st.integers(0, 2**32))
+def test_superfunction_product_is_the_degree_zero_wedge(m, n, seed):
+    rng = random.Random(seed)
+    spec = SuperDomainSpec(m, n)
+    f = support.random_superfunction(rng, spec, max_terms=4)
+    g = support.random_superfunction(rng, spec, max_terms=4)
+    assert _as_form(f * g) == wedge(_as_form(f), _as_form(g))
+
+
+@given(st.integers(0, 6), st.integers(0, 2**32))
+def test_mul_is_the_superfunction_product_on_an_odd_domain(q, seed):
+    rng = random.Random(seed)
+    spec = SuperDomainSpec(0, q)
+    f = support.random_superfunction(rng, spec, max_terms=5)
+    g = support.random_superfunction(rng, spec, max_terms=5)
+    assert mul(_as_element(f), _as_element(g)) == _as_element(f * g)
 
 
 # ------------------------------------------------- body and embedding
