@@ -17,6 +17,7 @@ from .errors import (
     DomainMismatch,
     GrasskitError,
     IndexOutOfRange,
+    InternalCheckFailed,
     NoOddSector,
     NonCanonicalRank,
     NotClosed,

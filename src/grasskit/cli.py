@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import derham, homs, points, semigroup, syntax
-from .errors import GrasskitError, ParseError
-from .grassmann import GrassmannElement, invert, mul
+from .errors import GrasskitError, InternalCheckFailed, ParseError
+from .grassmann import GrassmannElement, coeff_text, invert, mul
 from .points import SuperDomainSpec
 
 __all__ = ["main", "build_parser"]
@@ -59,8 +60,8 @@ def _prepare_body(args):
 
 
 def _run_body(args, a):
-    value = a.body()
-    return _emit(args, str(value), {"body": str(value)})
+    value = coeff_text(a.body())
+    return _emit(args, value, {"body": value})
 
 
 def _prepare_invert(args):
@@ -109,7 +110,7 @@ def _readout_report(hom: homs.OddLineHom) -> tuple[str, dict]:
         [
             f"m = {hom.min_support}",
             f"beta = {beta}",
-            f"scale = {hom.scale}",
+            f"scale = {coeff_text(hom.scale)}",
             f"dimension = {hom.domain.dimension}",
             f"verified = {'true' if report.ok else 'false'}",
         ]
@@ -117,7 +118,7 @@ def _readout_report(hom: homs.OddLineHom) -> tuple[str, dict]:
     doc = {
         "m": hom.min_support,
         "beta": list(hom.beta_indices),
-        "scale": str(hom.scale),
+        "scale": coeff_text(hom.scale),
         "dimension": hom.domain.dimension,
         "verified": report.ok,
     }
@@ -234,7 +235,7 @@ def _run_derham_cohomology(args, payload):
     )
     agree = dims == check
     if not agree:
-        raise GrasskitError(
+        raise InternalCheckFailed(
             f"elimination {dims} disagrees with homotopy {check}"
         )
     lines = [f"H^{p} = {d}" for p, d in enumerate(dims)]
@@ -269,7 +270,7 @@ def _run_parse_check(args, value):
     rank = getattr(value, "rank", args.rank)
     again = syntax.parse(args.kind, text, **_parse_check_context(args, rank))
     if again != value:
-        raise GrasskitError("canonical text did not round-trip")
+        raise InternalCheckFailed("canonical text did not round-trip")
     if args.json:
         return json.dumps(value.to_json())
     return text
@@ -407,10 +408,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves no state on the parser
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 

@@ -18,13 +18,30 @@ Monomials are kept in the canonical block order x, xi, dx, dxi.  The
 differential d is the parity-1 derivation with d(x_i) = dx_i,
 d(xi_a) = dxi_a, d(dx_i) = d(dxi_a) = 0; it satisfies d after d = 0.
 The Euler contraction i_E is the parity-1 derivation with
-i_E(dx_i) = x_i, i_E(dxi_a) = xi_a, and zero on coordinates.  Both
-preserve weight (the total generator count), and on a weight-w form
-d i_E + i_E d = w * id.  That identity kills every cohomology block of
-positive weight, which is why the cohomology reduces to the constants:
-H^0 = 1 and H^p = 0 for p >= 1.
+i_E(dx_i) = x_i, i_E(dxi_a) = xi_a, and zero on coordinates.  On a
+weight-w form d i_E + i_E d = w * id.  That identity kills every
+cohomology block of positive weight, which is why the cohomology
+reduces to the constants: H^0 = 1 and H^p = 0 for p >= 1.
 
-A derivation D acts on a monomial m one generator g at a time:
+Both d and i_E preserve more than the total weight: they preserve the
+weight vector, in which x_i and dx_i count toward slot i and xi_a and
+dxi_a toward slot m + a.  Each is one monomial rule that swaps a
+generator for its partner in the same slot, one bit or exponent change
+on each side, with coefficient the exponent consumed and sign (-1) to
+the number of odd factors the moving generator passes over:
+
+    d:    x_i^e -> e dx_i     passes every xi and the lower dx's
+          xi_a  -> dxi_a      passes the lower xi's
+    i_E:  dx_i  -> x_i        passes every xi and the lower dx's
+          dxi_a^e -> e xi_a   passes the lower xi's
+
+(for dxi_a, i_E's own pass over the dx's cancels xi_a's pass back over
+them).  cohomology_dims eliminates d on one (degree, weight vector)
+block at a time; for an (m, n) domain a weight vector holds at most
+2^(m+n) monomials, split by degree.
+
+A general coordinate derivation D (graded_derivation_apply) acts on a
+monomial m one generator g at a time:
 
     D(m) = sum over g in m of e_g (-1)^(|g| |m_<g|) D(g) m/g
 
@@ -40,14 +57,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .errors import (
     BudgetExceeded,
-    GrasskitError,
     IndexOutOfRange,
+    InternalCheckFailed,
     NonCanonicalRank,
     NotClosed,
     ParityViolation,
@@ -57,6 +73,7 @@ from .grassmann import (
     TermMap,
     accumulate,
     as_scalar,
+    coeff_text,
     indices_of,
     merge_sign,
     power_names,
@@ -107,6 +124,14 @@ class FormMonomial(NamedTuple):
             + self.dx_mask.bit_count()
             + sum(self.dxi_exp)
         )
+
+    @property
+    def weight_vector(self) -> tuple[int, ...]:
+        """Generator count per coordinate slot: x_i and dx_i in slot i,
+        xi_a and dxi_a in slot m + a."""
+        return tuple(
+            e + (self.dx_mask >> i & 1) for i, e in enumerate(self.x_exp)
+        ) + tuple(e + (self.xi_mask >> a & 1) for a, e in enumerate(self.dxi_exp))
 
     @property
     def total_parity(self) -> int:
@@ -275,7 +300,7 @@ class SuperForm(TermMap):
                     "xi_indices": list(indices_of(mono.xi_mask)),
                     "dx_indices": list(indices_of(mono.dx_mask)),
                     "dxi_exponents": list(mono.dxi_exp),
-                    "coeff": str(coeff),
+                    "coeff": coeff_text(coeff),
                 }
                 for mono, coeff in self.items()
             ],
@@ -344,8 +369,69 @@ def wedge(a: SuperForm, b: SuperForm) -> SuperForm:
     return SuperForm._make(a._space, product(a._terms, b._terms, _wedge_mono))
 
 
-def _lower(exponents: tuple[int, ...], i: int) -> tuple[int, ...]:
-    return exponents[:i] + (exponents[i] - 1,) + exponents[i + 1 :]
+def _shift(exponents: tuple[int, ...], i: int, delta: int) -> tuple[int, ...]:
+    return exponents[:i] + (exponents[i] + delta,) + exponents[i + 1 :]
+
+
+def _d_rule(mono: FormMonomial) -> list[tuple[FormMonomial, int]]:
+    """d of one monomial as (key, +-exponent) pairs, keys distinct."""
+    x_exp, xi_mask, dx_mask, dxi_exp = mono
+    n_xi = xi_mask.bit_count()
+    out = []
+    for i, e in enumerate(x_exp):
+        bit = 1 << i
+        if e and not dx_mask & bit:
+            hops = n_xi + (dx_mask & (bit - 1)).bit_count()
+            key = FormMonomial(_shift(x_exp, i, -1), xi_mask, dx_mask | bit, dxi_exp)
+            out.append((key, -e if hops & 1 else e))
+    rest = xi_mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        hops = (xi_mask & (bit - 1)).bit_count()
+        key = FormMonomial(x_exp, xi_mask ^ bit, dx_mask, _shift(dxi_exp, bit.bit_length() - 1, 1))
+        out.append((key, -1 if hops & 1 else 1))
+    return out
+
+
+def _euler_rule(mono: FormMonomial) -> list[tuple[FormMonomial, int]]:
+    """i_E of one monomial as (key, +-exponent) pairs, keys distinct."""
+    x_exp, xi_mask, dx_mask, dxi_exp = mono
+    n_xi = xi_mask.bit_count()
+    out = []
+    rest = dx_mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        hops = n_xi + (dx_mask & (bit - 1)).bit_count()
+        key = FormMonomial(_shift(x_exp, bit.bit_length() - 1, 1), xi_mask, dx_mask ^ bit, dxi_exp)
+        out.append((key, -1 if hops & 1 else 1))
+    for a, e in enumerate(dxi_exp):
+        bit = 1 << a
+        if e and not xi_mask & bit:
+            hops = (xi_mask & (bit - 1)).bit_count()
+            key = FormMonomial(x_exp, xi_mask | bit, dx_mask, _shift(dxi_exp, a, -1))
+            out.append((key, -e if hops & 1 else e))
+    return out
+
+
+def _apply(terms: Mapping[FormMonomial, Fraction], rule) -> dict:
+    """Extend a monomial rule linearly over a term map."""
+    acc: dict[FormMonomial, Fraction] = {}
+    for mono, coeff in terms.items():
+        for key, c in rule(mono):
+            accumulate(acc, key, coeff * c)
+    return acc
+
+
+def exterior_d(form: SuperForm) -> SuperForm:
+    """The differential: parity-1 derivation, x -> dx, xi -> dxi."""
+    return SuperForm._make(form._space, _apply(form._terms, _d_rule))
+
+
+def euler_contract(form: SuperForm) -> SuperForm:
+    """Contraction with the Euler field: dx -> x, dxi -> xi."""
+    return SuperForm._make(form._space, _apply(form._terms, _euler_rule))
 
 
 def _lowerings(mono: FormMonomial, kinds: Mapping[str, object]):
@@ -359,7 +445,7 @@ def _lowerings(mono: FormMonomial, kinds: Mapping[str, object]):
     if "x" in kinds:
         for i, e in enumerate(x_exp):
             if e:
-                yield "x", i + 1, e, FormMonomial(_lower(x_exp, i), xi_mask, dx_mask, dxi_exp)
+                yield "x", i + 1, e, FormMonomial(_shift(x_exp, i, -1), xi_mask, dx_mask, dxi_exp)
     if "xi" in kinds:
         for t, a in enumerate(indices_of(xi_mask)):
             lowered = FormMonomial(x_exp, xi_mask ^ (1 << (a - 1)), dx_mask, dxi_exp)
@@ -371,7 +457,7 @@ def _lowerings(mono: FormMonomial, kinds: Mapping[str, object]):
     if "dxi" in kinds:
         for a, e in enumerate(dxi_exp):
             if e:
-                yield "dxi", a + 1, e, FormMonomial(x_exp, xi_mask, dx_mask, _lower(dxi_exp, a))
+                yield "dxi", a + 1, e, FormMonomial(x_exp, xi_mask, dx_mask, _shift(dxi_exp, a, -1))
 
 
 def _derive(form: SuperForm, values: Mapping[str, Callable[[int], SuperForm]]) -> SuperForm:
@@ -391,18 +477,6 @@ def _derive(form: SuperForm, values: Mapping[str, Callable[[int], SuperForm]]) -
                 for key, c in wedge(val, rest)._terms.items():
                     accumulate(acc, key, c)
     return SuperForm._make(space, acc)
-
-
-def exterior_d(form: SuperForm) -> SuperForm:
-    """The differential: parity-1 derivation, x -> dx, xi -> dxi."""
-    m, n = form._space
-    return _derive(form, {"x": partial(dx_form, m, n), "xi": partial(dxi_form, m, n)})
-
-
-def euler_contract(form: SuperForm) -> SuperForm:
-    """Contraction with the Euler field: dx -> x, dxi -> xi."""
-    m, n = form._space
-    return _derive(form, {"dx": partial(x_form, m, n), "dxi": partial(xi_form, m, n)})
 
 
 @dataclass(frozen=True)
@@ -518,29 +592,44 @@ def form_blocks(
     blocks: dict[tuple[int, int], list[FormMonomial]] = {}
     count = 0
     for x_exp in _bounded_tuples(even_dim, max_weight):
-        left_x = max_weight - sum(x_exp)
+        weight_x = sum(x_exp)
         for xi_mask in range(1 << odd_dim):
-            left_xi = left_x - xi_mask.bit_count()
-            if left_xi < 0:
+            weight_xi = weight_x + xi_mask.bit_count()
+            if weight_xi > max_weight:
                 continue
             for dx_mask in range(1 << even_dim):
-                left_dx = left_xi - dx_mask.bit_count()
-                if left_dx < 0 or dx_mask.bit_count() > max_degree:
+                degree_dx = dx_mask.bit_count()
+                weight_dx = weight_xi + degree_dx
+                if weight_dx > max_weight or degree_dx > max_degree:
                     continue
-                for dxi_exp in _bounded_tuples(odd_dim, left_dx):
-                    mono = FormMonomial(x_exp, xi_mask, dx_mask, dxi_exp)
-                    if mono.degree > max_degree:
-                        continue
+                room = min(max_weight - weight_dx, max_degree - degree_dx)
+                for dxi_exp in _bounded_tuples(odd_dim, room):
                     count += 1
                     if count > budget:
                         raise BudgetExceeded(
                             f"more than {budget} monomials in the requested "
                             "degree/weight window"
                         )
-                    blocks.setdefault((mono.degree, mono.weight), []).append(mono)
+                    extra = sum(dxi_exp)
+                    mono = FormMonomial(x_exp, xi_mask, dx_mask, dxi_exp)
+                    blocks.setdefault((degree_dx + extra, weight_dx + extra), []).append(mono)
+    # within a block degree and weight are fixed, so the rest of
+    # FormMonomial.sort_key decides the order
+    indices = [indices_of(mask) for mask in range(1 << max(even_dim, odd_dim))]
     for block in blocks.values():
-        block.sort(key=FormMonomial.sort_key)
+        block.sort(key=lambda m: (m.x_exp, indices[m.xi_mask], indices[m.dx_mask], m.dxi_exp))
     return blocks
+
+
+def _d_rank(monos: Sequence[FormMonomial]) -> int:
+    """Exact rank of d on one block, from integer rows of the d rule."""
+    columns: dict[FormMonomial, int] = {}
+    rows = [
+        {columns.setdefault(key, len(columns)): c for key, c in _d_rule(mono)}
+        for mono in monos
+    ]
+    width = range(len(columns))
+    return linalg.rank_of([[row.get(j, 0) for j in width] for row in rows])
 
 
 def cohomology_dims(
@@ -552,39 +641,22 @@ def cohomology_dims(
 ) -> list[int]:
     """Cohomology dimensions H^0 .. H^max_degree by block elimination.
 
-    d preserves weight and raises degree by one, so each (degree,
-    weight) block contributes independently: the dimension at degree p
-    is the nullity of d on the block minus the rank of d arriving from
-    degree p-1.  All ranks are computed exactly over the rationals.
+    d raises degree by one and preserves the weight vector, so each
+    (degree, weight vector) block contributes independently: the
+    dimension at degree p is the sum over weight vectors v of the
+    nullity of d on block (p, v) minus the rank of d arriving from
+    (p-1, v).  Ranks are exact, by fraction-free elimination on the
+    integer matrix of d.  Nothing here uses i_E, so this route stays
+    independent of the homotopy route.
     """
-    blocks = form_blocks(even_dim, odd_dim, max_degree, max_weight, budget)
-    ranks: dict[tuple[int, int], int] = {}
-    for (p, w), monos in blocks.items():
-        images = [exterior_d(SuperForm._make((even_dim, odd_dim), {m: Fraction(1)})) for m in monos]
-        target_index: dict[FormMonomial, int] = {}
-        for img in images:
-            for mono in img.terms:
-                if mono not in target_index:
-                    target_index[mono] = len(target_index)
-        if not target_index:
-            ranks[(p, w)] = 0
-            continue
-        rows = []
-        for img in images:
-            row = [Fraction(0)] * len(target_index)
-            for mono, coeff in img.terms.items():
-                row[target_index[mono]] = coeff
-            rows.append(row)
-        ranks[(p, w)] = linalg.rank_of(rows)
-
-    dims = []
-    for p in range(max_degree + 1):
-        total = 0
-        for w in range(max_weight + 1):
-            block = blocks.get((p, w), [])
-            nullity = len(block) - ranks.get((p, w), 0)
-            total += nullity - ranks.get((p - 1, w), 0)
-        dims.append(total)
+    blocks: dict[tuple[int, tuple[int, ...]], list[FormMonomial]] = {}
+    for (p, _), monos in form_blocks(even_dim, odd_dim, max_degree, max_weight, budget).items():
+        for mono in monos:
+            blocks.setdefault((p, mono.weight_vector), []).append(mono)
+    ranks = {key: _d_rank(monos) for key, monos in blocks.items()}
+    dims = [0] * (max_degree + 1)
+    for (p, v), monos in blocks.items():
+        dims[p] += len(monos) - ranks[p, v] - ranks.get((p - 1, v), 0)
     return dims
 
 
@@ -603,14 +675,16 @@ def cohomology_dims_by_homotopy(
     block is the constants sitting in degree 0.
     """
     blocks = form_blocks(even_dim, odd_dim, max_degree, max_weight, budget)
-    for (p, w), monos in blocks.items():
+    for (_, w), monos in blocks.items():
         for mono in monos:
-            single = SuperForm._make((even_dim, odd_dim), {mono: Fraction(1)})
-            homotopy = exterior_d(euler_contract(single)) + euler_contract(
-                exterior_d(single)
-            )
-            if homotopy != single * Fraction(w):
-                raise GrasskitError(
+            homotopy: dict[FormMonomial, int] = {}
+            for first, then in ((_euler_rule, _d_rule), (_d_rule, _euler_rule)):
+                for key, c in first(mono):
+                    for image, c2 in then(key):
+                        accumulate(homotopy, image, c * c2)
+            if homotopy != ({mono: w} if w else {}):
+                single = SuperForm._make((even_dim, odd_dim), {mono: Fraction(1)})
+                raise InternalCheckFailed(
                     "internal check failed: Euler homotopy identity broke "
                     f"on {single.to_text()}"
                 )

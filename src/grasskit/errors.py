@@ -20,6 +20,7 @@ __all__ = [
     "NotClosed",
     "ParityViolation",
     "BudgetExceeded",
+    "InternalCheckFailed",
     "ParseError",
 ]
 
@@ -70,6 +71,11 @@ class ParityViolation(GrasskitError):
 
 class BudgetExceeded(GrasskitError):
     """A size cap was reached before the computation finished."""
+
+
+class InternalCheckFailed(GrasskitError):
+    """A self-check of a computed result failed: a fault in the kernel,
+    not in the input."""
 
 
 class ParseError(GrasskitError):

@@ -26,14 +26,16 @@ All values are immutable and every operation is a pure function.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import inf
+from math import inf, log10
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
+    BudgetExceeded,
     IndexOutOfRange,
     NonCanonicalRank,
     NotInvertible,
@@ -48,6 +50,7 @@ __all__ = [
     "accumulate",
     "product",
     "render_terms",
+    "coeff_text",
     "power_names",
     "GrassmannElement",
     "as_scalar",
@@ -123,6 +126,22 @@ def product(a_terms: Mapping, b_terms: Mapping, merge) -> dict:
     return acc
 
 
+def coeff_text(c: Fraction | int) -> str:
+    """str(c), or BudgetExceeded when c has too many digits to print.
+
+    Python refuses to print an integer longer than
+    sys.get_int_max_str_digits() digits; the error names the size.
+    """
+    try:
+        return str(c)
+    except ValueError:
+        bits = max(abs(c.numerator), c.denominator).bit_length()
+        raise BudgetExceeded(
+            f"coefficient of about {int(bits * log10(2)) + 1} digits is over "
+            f"the {sys.get_int_max_str_digits()}-digit print limit"
+        ) from None
+
+
 def render_terms(items: Iterable[tuple[object, Fraction]], factors) -> str:
     """Text of a sum of ordered (key, coeff) terms.
 
@@ -134,11 +153,11 @@ def render_terms(items: Iterable[tuple[object, Fraction]], factors) -> str:
         body = "*".join(factors(key))
         mag = abs(coeff)
         if not body:
-            text = str(mag)
+            text = coeff_text(mag)
         elif mag == 1:
             text = body
         else:
-            text = f"{mag}*{body}"
+            text = f"{coeff_text(mag)}*{body}"
         if not chunks:
             chunks.append(text if coeff > 0 else f"-{text}")
         else:
@@ -460,7 +479,7 @@ class GrassmannElement(TermMap):
         return {
             "rank": self._space,
             "terms": [
-                {"indices": list(indices_of(mask)), "coeff": str(coeff)}
+                {"indices": list(indices_of(mask)), "coeff": coeff_text(coeff)}
                 for mask, coeff in self.items()
             ],
         }

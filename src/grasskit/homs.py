@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from . import linalg
 from .errors import (
-    GrasskitError,
+    InternalCheckFailed,
     NoOddSector,
     NonCanonicalRank,
     NotHomogeneous,
@@ -30,6 +30,7 @@ from .grassmann import (
     Parity,
     ScalarLike,
     as_scalar,
+    coeff_text,
     generator,
     indices_of,
     monomial_basis,
@@ -344,7 +345,7 @@ class OddLineHom:
         return {
             "rank": self.rank,
             "beta": list(self.beta_indices),
-            "scale": str(self.scale),
+            "scale": coeff_text(self.scale),
         }
 
 
@@ -367,7 +368,7 @@ def odd_line_epi(subalgebra: SubalgebraBasis) -> OddLineHom:
     hom = OddLineHom(subalgebra.rank, beta, Fraction(1), subalgebra)
     report = verify_hom(hom, subalgebra.basis)
     if not report.ok:
-        raise GrasskitError(
+        raise InternalCheckFailed(
             "internal check failed: readout map is not a homomorphism on "
             f"the subalgebra (beta={indices_of(beta)})"
         )

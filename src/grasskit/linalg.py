@@ -1,13 +1,14 @@
 """Exact Gaussian elimination over the rationals.
 
 Small dense routines backing subalgebra closures and cohomology ranks.
-Rows are lists of Fraction; everything stays exact, nothing here is
-numeric in the floating-point sense.
+Rows are lists of Fraction (rank_of also takes ints); everything stays
+exact, nothing here is numeric in the floating-point sense.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 __all__ = ["rref", "rank_of", "reduce_against"]
@@ -51,9 +52,40 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return work[:top], pivots
 
 
-def rank_of(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of the row span."""
-    return len(rref(rows)[0])
+def rank_of(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    """Rank of the row span, by forward elimination only.
+
+    Each row is scaled by the lcm of its denominators, so the work is on
+    integers.  Elimination is fraction-free in Bareiss's way ("Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", Math.
+    Comp. 22, 1968): after a pivot, every row below becomes (pivot * row -
+    lead * pivot row) / previous pivot, a division that is exact, so the
+    entries stay minors of the input.  Pivots are neither normalized nor
+    cleared upwards.
+    """
+    work = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (scale // x.denominator) for x in row]
+        if any(ints):
+            work.append(ints)
+    rank, prev = 0, 1
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        top = work[rank]
+        lead = top[col]
+        for r in range(rank + 1, len(work)):
+            row = work[r]
+            factor = row[col]
+            work[r] = [(lead * x - factor * y) // prev for x, y in zip(row, top)]
+        prev = lead
+        rank += 1
+        if rank == len(work):
+            break
+    return rank
 
 
 def reduce_against(

@@ -34,6 +34,7 @@ from .grassmann import (
     TermMap,
     accumulate,
     as_scalar,
+    coeff_text,
     indices_of,
     merge_sign,
     mul,
@@ -189,7 +190,7 @@ class SuperFunction(TermMap):
                 {
                     "exponents": list(exponents),
                     "odd_indices": list(indices_of(amask)),
-                    "coeff": str(coeff),
+                    "coeff": coeff_text(coeff),
                 }
                 for (exponents, amask), coeff in self.items()
             ],

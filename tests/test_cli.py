@@ -11,6 +11,7 @@ import pytest
 
 import cli_cases
 from cli_cases import run_cli
+from grasskit import cli, derham, homs, syntax
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -215,6 +216,67 @@ def test_overlong_literal_is_a_parse_error():
     code, out, err = run_cli(["mul", "-q", "1", "1" * (limit + 1), "1"])
     assert (code, out) == (2, "")
     assert err.startswith("ParseError: ") and "(at position 0)" in err
+
+
+def test_overlong_result_is_a_budget_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or limit >= 5999:
+        pytest.skip("this interpreter prints a 6000-digit integer")
+    sevens = "7" * 3000
+    code, out, err = run_cli(["mul", "-q", "1", sevens, sevens])
+    assert (code, out) == (1, "")
+    assert err == (
+        "BudgetExceeded: coefficient of about 6000 digits is over the "
+        f"{limit}-digit print limit\n"
+    )
+
+
+_SMALL_WINDOW = ["derham-cohomology", "--dims", "1,0", "--max-degree", "1", "--max-weight", "1"]
+
+
+def _fail_homotopy_route(monkeypatch):
+    monkeypatch.setattr(derham, "_euler_rule", lambda mono: [])
+    return _SMALL_WINDOW, "internal check failed: Euler homotopy identity broke on "
+
+
+def _fail_cross_check(monkeypatch):
+    monkeypatch.setattr(derham, "cohomology_dims_by_homotopy", lambda *args: [1, 1])
+    return _SMALL_WINDOW, "elimination [1, 0] disagrees with homotopy [1, 1]"
+
+
+def _fail_readout(monkeypatch):
+    failed = homs.HomReport(False, (), (), None)
+    monkeypatch.setattr(homs, "verify_hom", lambda *args: failed)
+    return ["lemma1", "-q", "1", "--gens", "zeta"], "internal check failed: readout map "
+
+
+def _fail_round_trip(monkeypatch):
+    monkeypatch.setattr(syntax, "print_canonical", lambda value: "xi2")
+    return ["parse-check", "element", "q=3: xi1"], "canonical text did not round-trip"
+
+
+@pytest.mark.parametrize(
+    "break_check",
+    [_fail_homotopy_route, _fail_cross_check, _fail_readout, _fail_round_trip],
+)
+def test_failed_self_check_is_an_internal_error(monkeypatch, break_check):
+    argv, message = break_check(monkeypatch)
+    code, out, err = run_cli(argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"InternalCheckFailed: {message}")
+
+
+def test_parser_reuse_keeps_every_golden_byte_identical():
+    # the parser is built once per process; interleaving every golden case
+    # with a usage error must leave each call's output as a lone call's
+    blobs = [(GOLDEN_DIR / f"{name}.txt").read_text() for name, _ in cli_cases.CASES]
+    cli._parser.cache_clear()
+    for _ in range(2):
+        for (_, argv), blob in zip(cli_cases.CASES, blobs):
+            code, out, err = run_cli(["mul", "-q", "2"])
+            assert code == 2 and out == "" and err.startswith("usage: grasskit mul")
+            assert cli_cases.run_case(argv) == blob
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_usage_errors_exit_2():

@@ -7,11 +7,14 @@ None of it shares code with the packed monomial implementation.
 """
 
 import random
+import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 import support
+from grasskit import derham
 from grasskit import (
     BudgetExceeded,
     DerivationSpec,
@@ -403,6 +406,44 @@ def test_cohomology_routes_agree():
             m, n, max_degree=2, max_weight=4
         )
         assert by_rank == by_homotopy
+
+
+def test_monomial_rules_match_the_generic_derivation():
+    for m in range(4):
+        for n in range(4):
+            d_values = {"x": partial(dx_form, m, n), "xi": partial(dxi_form, m, n)}
+            e_values = {"dx": partial(x_form, m, n), "dxi": partial(xi_form, m, n)}
+            for monos in form_blocks(m, n, max_degree=4, max_weight=4).values():
+                for mono in monos:
+                    single = SuperForm(m, n, {mono: F(1)})
+                    assert exterior_d(single) == derham._derive(single, d_values)
+                    assert euler_contract(single) == derham._derive(single, e_values)
+
+
+def test_elimination_never_uses_the_homotopy(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("elimination reached i_E")
+
+    monkeypatch.setattr(derham, "euler_contract", refuse)
+    monkeypatch.setattr(derham, "_euler_rule", refuse)
+    assert cohomology_dims(2, 2, max_degree=3, max_weight=4) == [1, 0, 0, 0]
+    with pytest.raises(AssertionError):
+        cohomology_dims_by_homotopy(2, 2, max_degree=3, max_weight=4)
+
+
+def test_cohomology_3_3_window_on_both_routes():
+    # one dense (degree, total weight) block per rank took about 40 s here;
+    # per weight vector both routes take well under a second
+    start = time.perf_counter()
+    assert cohomology_dims(3, 3, max_degree=4, max_weight=6) == [1, 0, 0, 0, 0]
+    assert cohomology_dims_by_homotopy(3, 3, max_degree=4, max_weight=6) == [1, 0, 0, 0, 0]
+    assert time.perf_counter() - start < 20
+
+
+def test_weight_vector_counts_each_slot():
+    mono = FormMonomial((2, 0), 0b1, 0b10, (1,))
+    assert mono.weight_vector == (2, 1, 2)
+    assert sum(mono.weight_vector) == mono.weight
 
 
 def test_cohomology_stable_once_weight_covers_degree():

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
 from grasskit.linalg import rank_of, reduce_against, rref
 
 F = Fraction
@@ -80,3 +82,23 @@ def test_rank_of():
     assert rank_of(_rows([1, 0], [0, 1])) == 2
     assert rank_of([]) == 0
     assert rank_of(_rows([0, 0])) == 0
+
+
+_entries = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda cols: st.lists(st.lists(_entries, min_size=cols, max_size=cols), max_size=6)
+    )
+)
+def test_rank_of_matches_rref(rows):
+    assert rank_of(rows) == len(rref(rows)[0])
+
+
+def test_rank_of_takes_integer_rows():
+    assert rank_of([[2, 4, 6], [1, 2, 3], [0, 1, 1]]) == 2
+    assert rank_of([[F(1, 3), F(1, 2)], [2, 3]]) == 1
