@@ -12,10 +12,15 @@ set, and a > b.
 The sparse term map itself lives in TermMap, the core shared by
 GrassmannElement, points.SuperFunction and derham.SuperForm.  It holds
 the value operations (sums, scalar multiples, powers, equality, hashing,
-ordered printing) and the pair-loop product; each value class only
-supplies its key type and order, its monomial merge rule, its factor
-names and JSON shape, and the error raised when operands do not share a
-rank or domain.
+ordered printing) and a generic product that tries every term pair
+against a monomial merge rule; each value class only supplies its key
+type and order, its merge rule, its factor names and JSON shape, and the
+error raised when operands do not share a rank or domain.
+GrassmannElement does not use that product: mul is its own kernel,
+which visits only the disjoint mask pairs (at most 3**q of the 4**q
+pairs in the dense case), takes each sign from one popcount, and sums
+integer numerators over a common denominator, building one Fraction per
+output monomial.
 
 The monomial order used everywhere deterministic output matters
 (printing, serialization, echelon pivots, tie-breaking) sorts by
@@ -30,7 +35,7 @@ import sys
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import inf, log10
+from math import comb, inf, lcm, log10
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -105,7 +110,8 @@ def product(a_terms: Mapping, b_terms: Mapping, merge) -> dict:
     """Bilinear product of two term maps.
 
     merge(ka, kb) returns (key, sign) for the product of two monomials,
-    or None when that product vanishes.
+    or None when that product vanishes.  Grassmann products do not come
+    here: mul visits only disjoint mask pairs and sums integer numerators.
     """
     acc: dict = {}
     get = acc.get
@@ -116,7 +122,8 @@ def product(a_terms: Mapping, b_terms: Mapping, merge) -> dict:
                 continue
             key, sign = merged
             piece = ca * cb if sign > 0 else -(ca * cb)
-            # accumulate(), inlined: this is the innermost loop of mul
+            # accumulate(), inlined: this is the innermost loop of the
+            # SuperFunction and SuperForm products
             old = get(key)
             new = piece if old is None else old + piece
             if new:
@@ -371,7 +378,11 @@ class GrassmannElement(TermMap):
     ranks are distinct values.
     """
 
-    __slots__ = ()
+    # _ints caches (denominator, {mask: numerator}) for mul; the slot is
+    # left unset until the first product that needs it.  An element is
+    # often multiplied many times: echelon basis rows, generator images,
+    # the soul in a series.
+    __slots__ = ("_ints",)
 
     _sort_key = staticmethod(monomial_key)
 
@@ -400,6 +411,15 @@ class GrassmannElement(TermMap):
 
     def _times(self, other: "GrassmannElement") -> "GrassmannElement":
         return mul(self, other)
+
+    def _numerators(self) -> tuple[int, dict[int, int]]:
+        """The terms as integer numerators over their least common denominator."""
+        ints = getattr(self, "_ints", None)
+        if ints is None:
+            den = lcm(*[c.denominator for c in self._terms.values()])
+            nums = {m: c.numerator * (den // c.denominator) for m, c in self._terms.items()}
+            ints = self._ints = (den, nums)
+        return ints
 
     @property
     def rank(self) -> int:
@@ -455,9 +475,31 @@ class GrassmannElement(TermMap):
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "GrassmannElement":
-        if isinstance(exponent, int) and exponent < 0:
+        """Power by the binomial expansion around the body.
+
+        The body b is a scalar and the soul s is nilpotent and commutes
+        with it, so (b + s)**e = sum over k <= min(e, q) of
+        C(e, k) * b**(e - k) * s**k: at most q products whatever e is.
+        Negative powers are powers of the inverse.
+        """
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
             return invert(self) ** (-exponent)
-        return TermMap.__pow__(self, exponent)
+        b = self.body()
+        s = self.soul()
+        acc: dict[int, Fraction] = {}
+        s_k = one(self._space)
+        for k in range(min(exponent, self._space) + 1):
+            if k:
+                s_k = mul(s_k, s)
+                if s_k.is_zero:
+                    break
+            c = comb(exponent, k) * b ** (exponent - k)
+            if c:
+                for mask, coeff in s_k._terms.items():
+                    accumulate(acc, mask, coeff * c)
+        return self._make(self._space, acc)
 
     def to_text(self, zeta: bool = False) -> str:
         """Canonical text form, terms in (cardinality, lex) order.
@@ -551,16 +593,55 @@ def normalize(
     return GrassmannElement._make(rank, acc)
 
 
-def _merge_masks(left: int, right: int) -> tuple[int, int] | None:
-    if left & right:
-        return None
-    return left | right, merge_sign(left, right)
-
-
 def mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    """Product in the Grassmann algebra."""
+    """Product in the Grassmann algebra.
+
+    Each operand is read as integer numerators over one common
+    denominator.  For a left mask L only the right masks disjoint from L
+    are visited: the submasks of the free generators when there are
+    fewer of them than b has terms, otherwise b's terms with the
+    overlapping ones skipped.  The sign of xi_L * xi_R is the parity of
+    popcount(R & odd), where bit j of odd is set when L has an odd number
+    of bits above j.  Integer sums become one Fraction per output mask.
+    """
     a._check(b, "multiply")
-    return GrassmannElement._make(a._space, product(a._terms, b._terms, _merge_masks))
+    den_a, nums_a = a._numerators()
+    den_b, nums_b = b._numerators()
+    full = (1 << a._space) - 1
+    size_b = len(nums_b)
+    get_b = nums_b.get
+    acc: dict[int, int] = {}
+    get = acc.get
+    for left, na in nums_a.items():
+        free = full ^ left
+        # suffix xor: bit j of odd is the parity of left's bits above j
+        odd = left >> 1
+        shift = 1
+        while odd >> shift:
+            odd ^= odd >> shift
+            shift <<= 1
+        if (1 << free.bit_count()) < size_b:
+            right = free
+            while True:
+                nb = get_b(right)
+                if nb is not None:
+                    key = left | right
+                    p = na * nb
+                    acc[key] = get(key, 0) + (-p if (right & odd).bit_count() & 1 else p)
+                if not right:
+                    break
+                right = (right - 1) & free
+        else:
+            for right, nb in nums_b.items():
+                if right & left:
+                    continue
+                key = left | right
+                p = na * nb
+                acc[key] = get(key, 0) + (-p if (right & odd).bit_count() & 1 else p)
+    den = den_a * den_b
+    return GrassmannElement._make(
+        a._space, {key: Fraction(n, den) for key, n in acc.items() if n}
+    )
 
 
 def body(a: GrassmannElement) -> Fraction:
@@ -590,13 +671,12 @@ def invert(a: GrassmannElement) -> GrassmannElement:
     b = a.body()
     if b == 0:
         raise NotInvertible("zero body, element has no inverse")
-    rank = a.rank
-    s = a.soul()
     inv_b = 1 / b
-    term = scalar_element(rank, inv_b)
+    step = a.soul() * (-inv_b)
+    term = scalar_element(a.rank, inv_b)
     total = term
     while True:
-        term = mul(term, s) * (-inv_b)
+        term = mul(term, step)
         if term.is_zero:
             break
         total = total + term

@@ -29,6 +29,7 @@ from .grassmann import (
     GrassmannElement,
     Parity,
     ScalarLike,
+    accumulate,
     as_scalar,
     coeff_text,
     generator,
@@ -150,12 +151,11 @@ def apply_hom(hom: GradedHom, a: GrassmannElement) -> GrassmannElement:
             cache[mask] = found
         return found
 
-    total = zero(hom.target_rank)
+    acc: dict[int, Fraction] = {}
     for mask, coeff in a.terms.items():
-        piece = image_of(mask)
-        if not piece.is_zero:
-            total = total + piece * coeff
-    return total
+        for key, c in image_of(mask).terms.items():
+            accumulate(acc, key, c * coeff)
+    return GrassmannElement._make(hom.target_rank, acc)
 
 
 def compose_hom(outer: GradedHom, inner: GradedHom) -> GradedHom:
@@ -251,14 +251,16 @@ def subalgebra_closure(
     fresh = list(current)
 
     while True:
+        # every echelon basis of a span of homogeneous elements is itself
+        # homogeneous, so b*a = +-a*b and one product order spans both
         products = []
         seen = set()
         for a in fresh:
             for b in current:
-                for p in (mul(a, b), mul(b, a)):
-                    if not p.is_zero and p not in seen:
-                        seen.add(p)
-                        products.append(p)
+                p = mul(a, b)
+                if not p.is_zero and p not in seen:
+                    seen.add(p)
+                    products.append(p)
         candidates = current + products
         columns = _support_columns(candidates)
         rows, _ = linalg.rref(_to_rows(candidates, columns))

@@ -164,8 +164,8 @@ def _pool_homogeneous(rng, rank, pool, parity, max_terms=2):
     return total
 
 
-def random_subalgebra(rng, max_rank=6, max_pool=4):
-    """A graded unital subalgebra with a nonzero odd sector.
+def random_subalgebra_generators(rng, max_rank=6, max_pool=4):
+    """(q, gens): nonzero homogeneous generators, at least one odd.
 
     Generators are supported on a small index pool so closures stay
     small enough to sweep all basis pairs many times over.
@@ -180,9 +180,14 @@ def random_subalgebra(rng, max_rank=6, max_pool=4):
         if not any(g.parity is Parity.ODD for g in gens if not g.is_zero):
             gens.append(_pool_homogeneous(rng, q, pool, 1))
         gens = [g for g in gens if not g.is_zero]
-        if not gens:
-            continue
-        sub = subalgebra_closure(q, gens)
+        if gens:
+            return q, gens
+
+
+def random_subalgebra(rng, max_rank=6, max_pool=4):
+    """A graded unital subalgebra with a nonzero odd sector."""
+    while True:
+        sub = subalgebra_closure(*random_subalgebra_generators(rng, max_rank, max_pool))
         if sub.odd:
             return sub
 

@@ -6,6 +6,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -229,6 +230,28 @@ def test_overlong_result_is_a_budget_error():
         "BudgetExceeded: coefficient of about 6000 digits is over the "
         f"{limit}-digit print limit\n"
     )
+
+
+def test_huge_power_at_a_point_is_quick():
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["point-eval", "--dims", "1,0", "-q", "2", "x1^200000", "1 + xi1*xi2"]
+    )
+    assert (code, out, err) == (0, "1 + 200000*xi1*xi2\n", "")
+    assert time.perf_counter() - start < 5
+
+
+def test_huge_power_with_a_long_result_is_a_quick_budget_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or limit >= 60206:
+        pytest.skip("this interpreter prints a 60206-digit integer")
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["point-eval", "--dims", "1,0", "-q", "2", "x1^200000", "2 + xi1*xi2"]
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("BudgetExceeded: ")
+    assert time.perf_counter() - start < 5
 
 
 _SMALL_WINDOW = ["derham-cohomology", "--dims", "1,0", "--max-degree", "1", "--max-weight", "1"]

@@ -91,6 +91,75 @@ def test_mul_matches_list_oracle():
         assert mul(a, b) == mul_oracle(a, b)
 
 
+def _dense_element(rng, rank, density):
+    """Each monomial present with probability density, mixed denominators."""
+    terms = {}
+    for mask in range(1 << rank):
+        if rng.random() < density:
+            terms[mask] = support.random_scalar(rng, nonzero=True)
+    return GrassmannElement(rank, terms)
+
+
+@pytest.mark.parametrize("density", [1.0, 0.6])
+def test_mul_matches_list_oracle_on_dense_operands(density):
+    # dense operands send mul through its submask enumeration
+    rng = random.Random(111)
+    for rank in range(8):
+        for _ in range(2 if rank < 7 else 1):
+            a = _dense_element(rng, rank, density)
+            b = _dense_element(rng, rank, density)
+            assert mul(a, b) == mul_oracle(a, b)
+
+
+def test_mul_matches_list_oracle_on_sparse_high_rank_operands():
+    # few terms over many generators send mul through its term scan
+    rng = random.Random(112)
+    for rank in (40, 60):
+        for _ in range(10):
+            a, b = (
+                normalize(rank, [
+                    (rng.sample(range(1, rank + 1), rng.randint(0, 4)),
+                     support.random_scalar(rng))
+                    for _ in range(rng.randint(20, 40))
+                ])
+                for _ in range(2)
+            )
+            product = mul(a, b)
+            assert product == mul_oracle(a, b)
+            assert not product.is_zero
+
+
+def test_mul_signs_match_merge_sign_on_every_disjoint_pair():
+    # coefficient m + 1 on every monomial m of a dense operand makes each
+    # output coefficient name the pair that produced it; a monomial other
+    # than 1 on the left takes the submask branch, one on the right the
+    # term scan
+    for rank in range(9):
+        masks = range(1 << rank)
+        dense = GrassmannElement(rank, {m: F(m + 1) for m in masks})
+        for fixed in masks:
+            mono = GrassmannElement(rank, {fixed: F(1)})
+            left = mul(mono, dense)
+            right = mul(dense, mono)
+            disjoint = [m for m in masks if not m & fixed]
+            assert len(left.terms) == len(right.terms) == len(disjoint)
+            for m in disjoint:
+                assert left.coefficient(fixed | m) == merge_sign(fixed, m) * (m + 1)
+                assert right.coefficient(m | fixed) == merge_sign(m, fixed) * (m + 1)
+
+
+def test_mul_coefficients_are_fractions_in_lowest_terms():
+    rng = random.Random(113)
+    for _ in range(100):
+        rank = rng.randint(0, 7)
+        a = _dense_element(rng, rank, 0.6)
+        b = _dense_element(rng, rank, 0.6)
+        for coeff in mul(a, b).terms.values():
+            assert type(coeff) is Fraction and coeff != 0
+            assert coeff.denominator > 0
+            assert math.gcd(coeff.numerator, coeff.denominator) == 1
+
+
 # ------------------------------------------------- sign machinery
 
 def test_sort_with_sign_counts_inversions():
@@ -288,6 +357,21 @@ def test_negative_powers_use_inverse():
     assert a**-1 == invert(a)
     assert a**-2 == mul(invert(a), invert(a))
     assert a**0 == one(2)
+
+
+def test_powers_match_repeated_multiplication():
+    rng = random.Random(114)
+    for _ in range(300):
+        rank = rng.randint(0, 6)
+        a = support.random_element(rng, rank, max_terms=5)
+        e = rng.randint(-3, 8)
+        if e < 0 and a.body() == 0:
+            a = a + one(rank)
+        factor = invert(a) if e < 0 else a
+        expected = one(rank)
+        for _ in range(abs(e)):
+            expected = mul(expected, factor)
+        assert a**e == expected
 
 
 # ------------------------------------------------- rank changes

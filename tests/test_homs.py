@@ -11,6 +11,7 @@ import pytest
 
 import support
 from grasskit import (
+    GrassmannElement,
     NoOddSector,
     NonCanonicalRank,
     NotHomogeneous,
@@ -34,7 +35,7 @@ from grasskit import (
     verify_hom,
     zero,
 )
-from grasskit.grassmann import indices_of, mask_of
+from grasskit.grassmann import indices_of, mask_of, monomial_masks
 from grasskit.linalg import reduce_against, rref
 
 F = Fraction
@@ -59,6 +60,15 @@ def test_apply_hom_matches_substitution_oracle():
         target = rng.randint(0, 4)
         hom = support.random_hom(rng, source, target)
         a = support.random_element(rng, source, max_terms=4)
+        assert apply_hom(hom, a) == apply_oracle(hom, a)
+
+
+def test_apply_hom_on_a_dense_element_matches_substitution_oracle():
+    rng = random.Random(302)
+    terms = {m: support.random_scalar(rng, nonzero=True) for m in range(1 << 7)}
+    a = GrassmannElement(7, terms)
+    for target in (3, 6):
+        hom = support.random_hom(rng, 7, target, max_terms=3)
         assert apply_hom(hom, a) == apply_oracle(hom, a)
 
 
@@ -207,6 +217,33 @@ def _contains(sub, element):
         vec[index[mask]] = coeff
     basis, pivots = rref(rows)
     return all(x == 0 for x in reduce_against(basis, pivots, vec))
+
+
+def naive_closure(rank, gens):
+    """Saturate under both product orders with a full rref each round."""
+    columns = monomial_masks(rank)
+
+    def echelon(elements):
+        rows, _ = rref([[e.coefficient(m) for m in columns] for e in elements])
+        return [
+            GrassmannElement(rank, {m: c for m, c in zip(columns, row) if c})
+            for row in rows
+        ]
+
+    span = echelon([one(rank)] + list(gens))
+    while True:
+        grown = echelon(span + [mul(a, b) for a in span for b in span])
+        if len(grown) == len(span):
+            return tuple(grown)
+        span = grown
+
+
+def test_closure_matches_naive_saturation():
+    rng = random.Random(311)
+    for _ in range(200):
+        rank, gens = support.random_subalgebra_generators(rng)
+        sub = subalgebra_closure(rank, gens)
+        assert sub.basis == naive_closure(rank, gens)
 
 
 def test_closure_of_single_generator():
