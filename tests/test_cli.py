@@ -1,5 +1,6 @@
 """End-to-end checks of the command line front end."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -300,6 +301,30 @@ def test_parser_reuse_keeps_every_golden_byte_identical():
             assert code == 2 and out == "" and err.startswith("usage: grasskit mul")
             assert cli_cases.run_case(argv) == blob
     assert cli._parser.cache_info().misses == 1
+
+
+def _verb_parsers():
+    parser = cli.build_parser()
+    (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return parser, verbs.choices
+
+
+def test_usage_lines_match_golden(monkeypatch):
+    # usage lines, unlike full --help bodies, read the same on every
+    # supported Python version; COLUMNS fixes where they wrap
+    monkeypatch.setenv("COLUMNS", "80")
+    parser, verbs = _verb_parsers()
+    blob = parser.format_usage() + "".join(p.format_usage() for p in verbs.values())
+    path = GOLDEN_DIR / "usage.txt"
+    if os.environ.get("GRASSKIT_REGEN_GOLDEN"):
+        path.write_text(blob)
+    assert blob == path.read_text()
+
+
+def test_every_verb_has_a_golden_case():
+    _, verbs = _verb_parsers()
+    cased = {argv[0] for _, argv in cli_cases.CASES}
+    assert sorted(set(verbs) - cased) == []
 
 
 def test_usage_errors_exit_2():
