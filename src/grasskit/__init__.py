@@ -83,7 +83,6 @@ from .semigroup import (
     rank_reconstruction,
 )
 from .derham import (
-    DerivationSpec,
     FormMonomial,
     SuperForm,
     antiderivative,
@@ -95,9 +94,6 @@ from .derham import (
     euler_contract,
     exterior_d,
     form_blocks,
-    graded_derivation_apply,
-    partial_x,
-    partial_xi,
     wedge,
     x_form,
     xi_form,

@@ -40,24 +40,13 @@ them).  cohomology_dims eliminates d on one (degree, weight vector)
 block at a time; for an (m, n) domain a weight vector holds at most
 2^(m+n) monomials, split by degree.
 
-A general coordinate derivation D (graded_derivation_apply) acts on a
-monomial m one generator g at a time:
-
-    D(m) = sum over g in m of e_g (-1)^(|g| |m_<g|) D(g) m/g
-
-with e_g the exponent of g in m, |.| total parity, m_<g the factors of
-m written before g, and m/g the monomial m with g's exponent lowered by
-one.  The sign is D's own (-1)^(|D| |m_<g|) times the cost
-(-1)^(|D(g)| |m_<g|) of moving D(g) to the front, as |D(g)| = |D| + |g|.
-
 All coefficients are exact rationals and all values immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .errors import (
@@ -66,7 +55,6 @@ from .errors import (
     InternalCheckFailed,
     NonCanonicalRank,
     NotClosed,
-    ParityViolation,
 )
 from .grassmann import (
     ScalarLike,
@@ -93,10 +81,6 @@ __all__ = [
     "wedge",
     "exterior_d",
     "euler_contract",
-    "DerivationSpec",
-    "partial_x",
-    "partial_xi",
-    "graded_derivation_apply",
     "antiderivative",
     "form_blocks",
     "cohomology_dims",
@@ -432,121 +416,6 @@ def exterior_d(form: SuperForm) -> SuperForm:
 def euler_contract(form: SuperForm) -> SuperForm:
     """Contraction with the Euler field: dx -> x, dxi -> xi."""
     return SuperForm._make(form._space, _apply(form._terms, _euler_rule))
-
-
-def _lowerings(mono: FormMonomial, kinds: Mapping[str, object]):
-    """(kind, index, e_g * sign, m/g) for each generator g of mono.
-
-    Only generators of the given kinds are visited; sign is
-    (-1)^(|g| |m_<g|), which only the odd generators xi and dx can make
-    negative.
-    """
-    x_exp, xi_mask, dx_mask, dxi_exp = mono
-    if "x" in kinds:
-        for i, e in enumerate(x_exp):
-            if e:
-                yield "x", i + 1, e, FormMonomial(_shift(x_exp, i, -1), xi_mask, dx_mask, dxi_exp)
-    if "xi" in kinds:
-        for t, a in enumerate(indices_of(xi_mask)):
-            lowered = FormMonomial(x_exp, xi_mask ^ (1 << (a - 1)), dx_mask, dxi_exp)
-            yield "xi", a, -1 if t & 1 else 1, lowered
-    if "dx" in kinds:
-        for t, i in enumerate(indices_of(dx_mask), start=xi_mask.bit_count()):
-            lowered = FormMonomial(x_exp, xi_mask, dx_mask ^ (1 << (i - 1)), dxi_exp)
-            yield "dx", i, -1 if t & 1 else 1, lowered
-    if "dxi" in kinds:
-        for a, e in enumerate(dxi_exp):
-            if e:
-                yield "dxi", a + 1, e, FormMonomial(x_exp, xi_mask, dx_mask, _shift(dxi_exp, a, -1))
-
-
-def _derive(form: SuperForm, values: Mapping[str, Callable[[int], SuperForm]]) -> SuperForm:
-    """Apply a parity-homogeneous derivation given by generator values.
-
-    values[kind](index) is the value on a generator of that kind; the
-    derivation is zero on kinds missing from values.  Each value must be
-    homogeneous in total parity (see the module docstring).
-    """
-    space = form._space
-    acc: dict[FormMonomial, Fraction] = {}
-    for mono, coeff in form._terms.items():
-        for kind, idx, weight, lowered in _lowerings(mono, values):
-            val = values[kind](idx)
-            if val:
-                rest = SuperForm._make(space, {lowered: coeff * weight})
-                for key, c in wedge(val, rest)._terms.items():
-                    accumulate(acc, key, c)
-    return SuperForm._make(space, acc)
-
-
-@dataclass(frozen=True)
-class DerivationSpec:
-    """A parity-homogeneous derivation pinned down on the coordinates.
-
-    x_values[i-1] and xi_values[a-1] are the images of x_i and xi_a;
-    all must be degree-0 forms, with total parity equal to the
-    derivation's parity on even coordinates and flipped on odd ones.
-    """
-
-    parity: int
-    x_values: tuple[SuperForm, ...]
-    xi_values: tuple[SuperForm, ...]
-
-    def __post_init__(self):
-        if self.parity not in (0, 1):
-            raise ParityViolation(f"parity must be 0 or 1, got {self.parity}")
-        for label, values, wanted in (
-            ("x", self.x_values, self.parity),
-            ("xi", self.xi_values, self.parity ^ 1),
-        ):
-            for i, val in enumerate(values, start=1):
-                if not val.is_zero and val.form_degree != 0:
-                    raise ValueError(
-                        f"value of {label}{i} must be a degree-0 form"
-                    )
-                if not val.is_zero and val.total_parity != wanted:
-                    raise ParityViolation(
-                        f"value of {label}{i} must have total parity {wanted}"
-                    )
-
-
-def partial_x(even_dim: int, odd_dim: int, index: int) -> DerivationSpec:
-    """The even derivation d/dx_index."""
-    return DerivationSpec(
-        0,
-        tuple(
-            constant_form(even_dim, odd_dim, 1 if i == index else 0)
-            for i in range(1, even_dim + 1)
-        ),
-        tuple(constant_form(even_dim, odd_dim, 0) for _ in range(odd_dim)),
-    )
-
-
-def partial_xi(even_dim: int, odd_dim: int, index: int) -> DerivationSpec:
-    """The odd derivation d/dxi_index, acting from the left."""
-    return DerivationSpec(
-        1,
-        tuple(constant_form(even_dim, odd_dim, 0) for _ in range(even_dim)),
-        tuple(
-            constant_form(even_dim, odd_dim, 1 if a == index else 0)
-            for a in range(1, odd_dim + 1)
-        ),
-    )
-
-
-def graded_derivation_apply(spec: DerivationSpec, f: SuperForm) -> SuperForm:
-    """Apply a coordinate derivation to a degree-0 form."""
-    if len(spec.x_values) != f.even_dim or len(spec.xi_values) != f.odd_dim:
-        raise IndexOutOfRange(
-            "derivation values do not match the form's domain"
-        )
-    if not f.is_zero and f.form_degree != 0:
-        raise ValueError("graded derivations act on degree-0 forms")
-
-    return _derive(
-        f,
-        {"x": lambda i: spec.x_values[i - 1], "xi": lambda i: spec.xi_values[i - 1]},
-    )
 
 
 def antiderivative(form: SuperForm) -> SuperForm:

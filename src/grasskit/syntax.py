@@ -431,12 +431,16 @@ def parse(kind: str, text: str, **context) -> object:
     raise ValueError(f"unknown payload kind {kind!r}")
 
 
-def print_canonical(value: object, **options) -> str:
-    """Canonical text for any kernel value; inverse of parse."""
+def print_canonical(value: object, *, zeta: bool = False, with_rank: bool = False) -> str:
+    """Canonical text for any kernel value; inverse of parse.
+
+    zeta prints a rank-1 element's generator as zeta, with_rank prefixes
+    a point with its q=; the other kinds take neither.
+    """
     if isinstance(value, GrassmannElement):
-        return value.to_text(zeta=options.get("zeta", False))
+        return value.to_text(zeta=zeta)
     if isinstance(value, QPoint):
-        return value.to_text(with_rank=options.get("with_rank", False))
+        return value.to_text(with_rank=with_rank)
     if isinstance(
         value, (SuperFunction, SuperForm, GradedHom, FiniteRangeEndo, LimitPoint)
     ):

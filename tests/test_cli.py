@@ -102,6 +102,23 @@ def test_jfamily_rescales_the_readout():
     assert "verified = true" in out
 
 
+def test_readouts_are_verified_once(monkeypatch):
+    # odd_line_epi verifies the readout it builds; only a rescaled one
+    # needs a second check
+    calls = []
+    verify = homs.verify_hom
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(homs, "verify_hom", counted)
+    assert run_cli(["lemma1", "-q", "2", "--gens", "xi1; xi2"])[0] == 0
+    assert len(calls) == 1
+    assert run_cli(["jfamily", "-q", "2", "--gens", "xi1; xi2", "--lambda", "2"])[0] == 0
+    assert len(calls) == 3
+
+
 def test_point_eval():
     code, out, _ = run_cli(
         ["point-eval", "--dims", "1,1", "-q", "2",

@@ -9,7 +9,6 @@ None of it shares code with the packed monomial implementation.
 import random
 import time
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -17,11 +16,8 @@ import support
 from grasskit import derham
 from grasskit import (
     BudgetExceeded,
-    DerivationSpec,
     FormMonomial,
-    IndexOutOfRange,
     NotClosed,
-    ParityViolation,
     SuperForm,
     antiderivative,
     cohomology_dims,
@@ -32,9 +28,6 @@ from grasskit import (
     euler_contract,
     exterior_d,
     form_blocks,
-    graded_derivation_apply,
-    partial_x,
-    partial_xi,
     wedge,
     x_form,
     xi_form,
@@ -331,55 +324,6 @@ def test_antiderivative_drops_constants():
     assert antiderivative(omega).is_zero
 
 
-# ------------------------------------------------- derivations
-
-def test_partial_x_on_powers():
-    x1 = x_form(1, 0, 1)
-    d1 = partial_x(1, 0, 1)
-    assert graded_derivation_apply(d1, x1 * x1) == 2 * x1
-
-
-def test_partial_xi_acts_from_the_left():
-    xi1 = xi_form(0, 2, 1)
-    xi2 = xi_form(0, 2, 2)
-    assert graded_derivation_apply(partial_xi(0, 2, 1), xi1 * xi2) == xi2
-    assert graded_derivation_apply(partial_xi(0, 2, 2), xi1 * xi2) == -xi1
-
-
-def test_derivation_graded_leibniz_on_functions():
-    rng = random.Random(610)
-    for _ in range(60):
-        m, n = rng.randint(1, 2), rng.randint(1, 2)
-        spec = (
-            partial_x(m, n, rng.randint(1, m))
-            if rng.random() < 0.5
-            else partial_xi(m, n, rng.randint(1, n))
-        )
-        pa = rng.randint(0, 1)
-        f = support.random_form(rng, m, n, max_degree=0, parity=pa)
-        g = support.random_form(rng, m, n, max_degree=0)
-        sign = -1 if (spec.parity and pa) else 1
-        assert graded_derivation_apply(spec, wedge(f, g)) == (
-            wedge(graded_derivation_apply(spec, f), g)
-            + sign * wedge(f, graded_derivation_apply(spec, g))
-        )
-
-
-def test_derivation_spec_validates_value_parity():
-    with pytest.raises(ParityViolation):
-        DerivationSpec(0, (xi_form(1, 1, 1),), (constant_form(1, 1, 0),))
-
-
-def test_derivation_rejects_positive_degree_forms():
-    with pytest.raises(ValueError):
-        graded_derivation_apply(partial_x(1, 0, 1), dx_form(1, 0, 1))
-
-
-def test_derivation_rejects_wrong_domain():
-    with pytest.raises(IndexOutOfRange):
-        graded_derivation_apply(partial_x(1, 0, 1), constant_form(2, 0, 1))
-
-
 # ------------------------------------------------- cohomology
 
 def test_form_blocks_smallest_window():
@@ -409,15 +353,15 @@ def test_cohomology_routes_agree():
 
 
 def test_monomial_rules_match_the_generic_derivation():
+    # the generic derivation here is the oracles' graded Leibniz rule,
+    # applied slot by slot to each generator sequence
     for m in range(4):
         for n in range(4):
-            d_values = {"x": partial(dx_form, m, n), "xi": partial(dxi_form, m, n)}
-            e_values = {"dx": partial(x_form, m, n), "dxi": partial(xi_form, m, n)}
             for monos in form_blocks(m, n, max_degree=4, max_weight=4).values():
                 for mono in monos:
                     single = SuperForm(m, n, {mono: F(1)})
-                    assert exterior_d(single) == derham._derive(single, d_values)
-                    assert euler_contract(single) == derham._derive(single, e_values)
+                    assert exterior_d(single) == d_oracle(single)
+                    assert euler_contract(single) == contract_oracle(single)
 
 
 def test_elimination_never_uses_the_homotopy(monkeypatch):

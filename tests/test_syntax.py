@@ -295,6 +295,12 @@ def test_print_canonical_rejects_foreign_values():
         print_canonical("xi1")
 
 
+def test_print_canonical_rejects_unknown_options():
+    # a misspelled option must not fall back silently to the plain text
+    with pytest.raises(TypeError):
+        print_canonical(QPoint(2, (), ()), with_rnak=True)
+
+
 def test_print_canonical_covers_every_kernel_kind():
     rng = random.Random(707)
     h = make_hom(1, [monomial_element(2, [2])], 2)
