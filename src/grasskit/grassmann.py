@@ -480,13 +480,23 @@ class GrassmannElement(TermMap):
         The body b is a scalar and the soul s is nilpotent and commutes
         with it, so (b + s)**e = sum over k <= min(e, q) of
         C(e, k) * b**(e - k) * s**k: at most q products whatever e is.
-        Negative powers are powers of the inverse.
+        Negative powers are powers of the inverse.  The body of the
+        result is exactly b**e, so a power whose body would be too long
+        to print is refused before it is computed.
         """
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return invert(self) ** (-exponent)
         b = self.body()
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        # exact product: the exponent may be too large for a float
+        digits = exponent * Fraction(log10(max(abs(b.numerator), b.denominator)))
+        if limit and digits > limit:
+            raise BudgetExceeded(
+                f"power with a body of about {coeff_text(int(digits) + 1)} "
+                f"digits is over the {limit}-digit print limit"
+            )
         s = self.soul()
         acc: dict[int, Fraction] = {}
         s_k = one(self._space)

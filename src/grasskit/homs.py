@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from . import linalg
 from .errors import (
@@ -191,46 +191,19 @@ class SubalgebraBasis:
         return len(self.basis)
 
 
-def _support_columns(elements: Iterable[GrassmannElement]) -> list[int]:
-    masks = set()
-    for elem in elements:
-        masks.update(elem.terms.keys())
-    masks.add(0)
-    return sorted(masks, key=monomial_key)
-
-
-def _to_rows(
-    elements: Sequence[GrassmannElement], columns: Sequence[int]
-) -> list[list[Fraction]]:
-    col_index = {mask: i for i, mask in enumerate(columns)}
-    rows = []
-    for elem in elements:
-        row = [Fraction(0)] * len(columns)
-        for mask, coeff in elem.terms.items():
-            row[col_index[mask]] = coeff
-        rows.append(row)
-    return rows
-
-
-def _from_rows(
-    rank: int, rows: Sequence[Sequence[Fraction]], columns: Sequence[int]
-) -> list[GrassmannElement]:
-    out = []
-    for row in rows:
-        terms = {columns[i]: c for i, c in enumerate(row) if c}
-        out.append(GrassmannElement._make(rank, terms))
-    return out
-
-
 def subalgebra_closure(
     rank: int, generators: Sequence[GrassmannElement]
 ) -> SubalgebraBasis:
     """Smallest graded unital subalgebra containing the generators.
 
     Generators must be parity-homogeneous (zero is allowed and ignored).
-    The span of the unit and the generators is saturated under pairwise
-    products until the dimension stabilizes; the result is returned as
-    the canonical reduced echelon basis, split by parity.
+    The subalgebra is spanned by words in the generators, so it is the
+    span of the unit closed under left multiplication by each generator.
+    That span is saturated on one sparse echelon basis: each queued
+    vector is reduced against the rows, a nonzero residue becomes a new
+    row (pivot scaled to 1 and cleared from the other rows), and its
+    products with every generator are queued.  The result is the
+    canonical reduced echelon basis, split by parity.
     """
     gens = []
     for g in generators:
@@ -244,55 +217,36 @@ def subalgebra_closure(
             raise NotHomogeneous(f"generator is not parity-homogeneous: {g}")
         gens.append(g)
 
-    current: list[GrassmannElement] = [one(rank)] + gens
-    columns = _support_columns(current)
-    rows, _ = linalg.rref(_to_rows(current, columns))
-    current = _from_rows(rank, rows, columns)
-    fresh = list(current)
+    # pivot mask -> row; each row has coefficient 1 at its pivot and 0 at
+    # every other pivot, so one pass over a vector's terms reduces it
+    rows: dict[int, GrassmannElement] = {}
+    queue = [one(rank)]
+    while queue:
+        v = queue.pop()
+        for mask in [m for m in v.terms if m in rows]:
+            v = v - v.coefficient(mask) * rows[mask]
+        if v.is_zero:
+            continue
+        pivot = min(v.terms, key=monomial_key)
+        v = v / v.coefficient(pivot)
+        for mask, row in list(rows.items()):
+            if pivot in row.terms:
+                rows[mask] = row - row.coefficient(pivot) * v
+        rows[pivot] = v
+        queue.extend(mul(g, v) for g in gens)
 
-    while True:
-        # every echelon basis of a span of homogeneous elements is itself
-        # homogeneous, so b*a = +-a*b and one product order spans both
-        products = []
-        seen = set()
-        for a in fresh:
-            for b in current:
-                p = mul(a, b)
-                if not p.is_zero and p not in seen:
-                    seen.add(p)
-                    products.append(p)
-        candidates = current + products
-        columns = _support_columns(candidates)
-        rows, _ = linalg.rref(_to_rows(candidates, columns))
-        updated = _from_rows(rank, rows, columns)
-        if len(updated) == len(current):
-            current = updated
-            break
-        # only vectors outside the old span can create new directions
-        old_columns = columns
-        old_rows, old_pivots = linalg.rref(_to_rows(current, old_columns))
-        fresh = [
-            elem
-            for elem in updated
-            if any(
-                linalg.reduce_against(
-                    old_rows, old_pivots, _to_rows([elem], old_columns)[0]
-                )
-            )
-        ]
-        current = updated
-
+    basis = tuple(rows[pivot] for pivot in sorted(rows, key=monomial_key))
     even = []
     odd = []
-    for elem in current:
+    for elem in basis:
         par = elem.parity
         if par is Parity.MIXED:
-            raise NotHomogeneous(
-                "echelon basis of a graded span must be homogeneous; "
-                f"got {elem}"
+            raise InternalCheckFailed(
+                "internal check failed: echelon basis of a graded span "
+                f"must be homogeneous; got {elem}"
             )
         (even if par is Parity.EVEN else odd).append(elem)
-    return SubalgebraBasis(rank, tuple(current), tuple(even), tuple(odd))
+    return SubalgebraBasis(rank, basis, tuple(even), tuple(odd))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 """Exact Gaussian elimination over the rationals.
 
-Small dense routines backing subalgebra closures and cohomology ranks.
-Rows are lists of Fraction (rank_of also takes ints); everything stays
-exact, nothing here is numeric in the floating-point sense.
+Small dense routines over rows that are lists of Fraction (rank_of also
+takes ints); everything stays exact, nothing here is numeric in the
+floating-point sense.  rank_of serves verify_hom and the de Rham blocks.
+rref and reduce_against are the reference elimination: the tests use
+them as an oracle independent of the sparse echelon basis that
+homs.subalgebra_closure keeps, and the benchmark tracer hooks them.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ implementation.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, strategies as st
 
 import support
 from grasskit import (
+    BudgetExceeded,
     GrassmannElement,
     IndexOutOfRange,
     NonCanonicalRank,
@@ -372,6 +374,28 @@ def test_powers_match_repeated_multiplication():
         for _ in range(abs(e)):
             expected = mul(expected, factor)
         assert a**e == expected
+
+
+def test_power_with_a_body_too_long_to_print_is_refused_before_it_is_computed(
+    monkeypatch,
+):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    a = scalar_element(2, 2) + monomial_element(2, [1, 2])
+    with pytest.raises(BudgetExceeded, match="about 30103000 digits .* 4300-digit"):
+        a ** 10**8
+    with pytest.raises(BudgetExceeded):
+        invert(a) ** 10**8  # the body 1/2 has a long denominator
+    with pytest.raises(BudgetExceeded):
+        a ** -(10**8)
+    with pytest.raises(BudgetExceeded):
+        a ** 10**400  # too large for a float
+    # a body of 0 or +-1 stays short whatever the exponent
+    b = one(2) + generator(2, 1)
+    assert b ** 10**12 == one(2) + scalar_element(2, 10**12) * generator(2, 1)
+    assert generator(2, 1) ** 10**12 == zero(2)
+    # without a print limit nothing is projected
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    assert (a**14300).body() == 2**14300
 
 
 # ------------------------------------------------- rank changes

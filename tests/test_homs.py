@@ -260,6 +260,21 @@ def test_closure_of_top_monomial():
     assert sub.odd == (top,)
 
 
+def test_closure_without_nonzero_generators_is_the_unit_line():
+    for rank in (0, 3):
+        for gens in ([], [zero(rank)], [zero(rank), zero(rank)]):
+            sub = subalgebra_closure(rank, gens)
+            assert sub.basis == sub.even == (one(rank),)
+            assert sub.odd == ()
+
+
+def test_closure_of_all_generators_is_the_monomial_basis():
+    # rank 8 is beyond the reach of the naive oracle above
+    sub = subalgebra_closure(8, [generator(8, i) for i in range(1, 9)])
+    assert sub.basis == tuple(monomial_basis(8))
+    assert len(sub.even) == len(sub.odd) == 128
+
+
 def test_closure_with_annihilating_products():
     gens = [generator(2, 1) + generator(2, 2), monomial_element(2, [1, 2])]
     sub = subalgebra_closure(2, gens)
