@@ -1,6 +1,7 @@
 """Parsing and printing: the canonical text grammar."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -314,3 +315,83 @@ def test_print_canonical_covers_every_kernel_kind():
     ]
     for value in values:
         assert isinstance(print_canonical(value), str)
+
+
+# ------------------------------------------------- parse errors
+
+_LONG = "7" * (sys.get_int_max_str_digits() + 1)
+
+# one row per place the grammar raises ParseError:
+# (kind, text, context) -> (message, position)
+PARSE_ERRORS = [
+    ("element", "3 + @", {"rank": 1}, "unexpected character '@'", 4),
+    ("element", _LONG, {"rank": 1}, f"{len(_LONG)}-digit number is too long", 0),
+    ("element", "1 + xi" + _LONG, {"rank": 1},
+     f"{len(_LONG)}-digit number is too long", 4),
+    ("element", "3/", {"rank": 1}, "unexpected end of expression", 2),
+    ("element", "xi1*", {"rank": 1}, "unexpected end of expression", 4),
+    ("superfunction", "x1^", {"even_dim": 1, "odd_dim": 0},
+     "unexpected end of expression", 3),
+    ("element", "3/0", {"rank": 1}, "nonzero denominator expected", 2),
+    ("element", "3/xi1", {"rank": 1}, "nonzero denominator expected", 2),
+    ("element", "- ", {"rank": 1}, "empty term", 2),
+    ("element", "xi1 +", {"rank": 1}, "empty term", 5),
+    ("element", "2*3", {"rank": 1}, "generator expected", 2),
+    ("element", "--xi1", {"rank": 1}, "generator expected", 1),
+    ("element", "xi1^2", {"rank": 1},
+     "'^' is not allowed on odd generator xi1", 3),
+    ("element", "zeta^2", {"rank": 1},
+     "'^' is not allowed on odd generator zeta1", 4),
+    ("element", "x1^xi1", {"rank": 1}, "exponent expected", 3),
+    ("element", "  ", {"rank": 1}, "empty expression", 2),
+    ("element", "xi1 xi2", {"rank": 2}, "'+' or '-' expected between terms", 4),
+    ("element", "q", {"rank": 1}, "unexpected end of expression", 1),
+    ("element", "q:2", {"rank": 1}, "'=' expected after q", 1),
+    ("element", "q=xi1:", {"rank": 1}, "rank expected after q=", 2),
+    ("element", "q=2 xi1", {"rank": 1}, "':' expected after rank prefix", 4),
+    ("element", "x1", {"rank": 1}, "x1 is not a Grassmann generator", 2),
+    ("element", "xi1", {"rank": None}, "no rank given for element", None),
+    ("superfunction", "xi1", {"even_dim": 1, "odd_dim": 1},
+     "xi1 is not a superfunction coordinate", None),
+    ("form", "th1", {"even_dim": 1, "odd_dim": 1},
+     "th1 is not a form generator", None),
+    ("hom", "xi1=1;", {"source_rank": 1, "target_rank": 1},
+     "empty assignment", 6),
+    ("hom", "x1=xi1", {"source_rank": 1, "target_rank": 1},
+     "assignment must start with xiK", 0),
+    ("hom", "xi1=xi2; xi1=xi1", {"source_rank": 2, "target_rank": 2},
+     "xi1 assigned twice", 9),
+    ("hom", "xi1", {"source_rank": 1, "target_rank": 1},
+     "'=' expected in assignment", 0),
+    ("hom", "xi1=xi1; xi2=x1", {"source_rank": 2, "target_rank": 2},
+     "x1 is not a Grassmann generator", 9),
+    ("endo", "xi1=zeta; xi2", {}, "'=' expected in assignment", 10),
+    ("point", "xi1", {"even_dim": 1, "odd_dim": 0, "default_rank": None},
+     "no rank given for point", None),
+    ("point", "q=2: xi1", {"even_dim": 0, "odd_dim": 0, "default_rank": None},
+     "0 coordinates expected", 5),
+    ("point", "xi1; xi2", {"even_dim": 1, "odd_dim": 2, "default_rank": 2},
+     "3 coordinates expected, got 2", None),
+    ("point", "xi1;", {"even_dim": 0, "odd_dim": 2, "default_rank": 2},
+     "empty expression", 4),
+    ("point", "q=1: x1", {"even_dim": 1, "odd_dim": 0, "default_rank": None},
+     "x1 is not a Grassmann generator", 7),
+]
+
+
+@pytest.mark.parametrize("kind, text, context, message, position", PARSE_ERRORS)
+def test_parse_error_message_and_position(kind, text, context, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse(kind, text, **context)
+    suffix = "" if position is None else f" (at position {position})"
+    assert str(exc.value) == message + suffix
+    assert exc.value.position == position
+
+
+def test_parse_scalar_error_message():
+    with pytest.raises(ParseError) as exc:
+        parse_scalar("nope")
+    assert str(exc.value) == (
+        "bad rational 'nope': Invalid literal for Fraction: 'nope'"
+    )
+    assert exc.value.position is None
