@@ -25,13 +25,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .derham import SuperForm
-from .errors import IndexOutOfRange, ParseError
+from .errors import BudgetExceeded, IndexOutOfRange, ParseError
 from .grassmann import GrassmannElement, normalize, zero
 from .homs import GradedHom, make_hom
 from .points import QPoint, SuperDomainSpec, SuperFunction
 from .semigroup import FiniteRangeEndo, LimitPoint
 
 __all__ = ["parse", "parse_scalar", "print_canonical"]
+
+# an endomorphism stores one image per generator up to its support, so
+# a short text like "xi10000000000=0" would otherwise ask for billions
+_MAX_ENDO_SUPPORT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -351,6 +355,11 @@ def parse_endo(text: str) -> FiniteRangeEndo:
     if not assignments:
         return FiniteRangeEndo((), 0)
     support = max(index for index, _, _ in assignments)
+    if support > _MAX_ENDO_SUPPORT:
+        raise BudgetExceeded(
+            f"endomorphism support {support} is over the "
+            f"{_MAX_ENDO_SUPPORT}-generator cap"
+        )
     range_rank = 0
     for _, raw, _ in assignments:
         for _, factors in raw:

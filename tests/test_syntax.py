@@ -5,11 +5,13 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import support
 from grasskit import (
+    BudgetExceeded,
     FiniteRangeEndo,
+    GrasskitError,
     GrassmannElement,
     IndexOutOfRange,
     ParseError,
@@ -395,3 +397,40 @@ def test_parse_scalar_error_message():
         "bad rational 'nope': Invalid literal for Fraction: 'nope'"
     )
     assert exc.value.position is None
+
+
+def test_endo_support_is_capped_before_anything_is_allocated():
+    # one image per generator up to the support; 10^24 of them used to
+    # end in a raw OverflowError, 10^8 in gigabytes of zero images
+    with pytest.raises(BudgetExceeded) as exc:
+        parse("endo", "xi1" + "0" * 24 + "=0")
+    assert "support 1" + "0" * 24 + " is over the 65536-generator cap" in str(exc.value)
+    assert parse("endo", "xi65536=xi1").support == 65536
+
+
+# texts over the grammar's alphabet plus characters it has no use for
+_ALPHABET = [
+    "xi1", "xi2", "x1", "x2", "th1", "dx1", "dxi1", "zeta", "q",
+    "0", "1", "7", "+", "-", "*", "/", "^", "=", ";", ":", " ",
+    "@", "x", "i", "é", "\t", "٣",
+]
+_CONTEXTS = {
+    "element": {"rank": 2},
+    "superfunction": {"even_dim": 2, "odd_dim": 1},
+    "form": {"even_dim": 2, "odd_dim": 1},
+    "hom": {"source_rank": 2, "target_rank": 2},
+    "endo": {},
+    "point": {"even_dim": 1, "odd_dim": 1, "default_rank": 2},
+}
+
+
+@settings(max_examples=300)
+@given(st.lists(st.sampled_from(_ALPHABET), max_size=14).map("".join))
+def test_parse_fails_only_with_grasskit_errors_inside_the_text(text):
+    for kind, context in _CONTEXTS.items():
+        try:
+            parse(kind, text, **context)
+        except ParseError as exc:
+            assert exc.position is None or 0 <= exc.position <= len(text)
+        except GrasskitError:
+            pass
