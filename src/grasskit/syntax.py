@@ -1,6 +1,8 @@
 """Text grammar shared by the CLI and the round-trip tests.
 
-One tokenizer covers every payload kind.  Generator tokens are xiK
+One tokenizer covers every payload kind.  It makes one regex pass and
+returns plain (kind, value, pos) tuples, closed by an "end" sentinel at
+len(text), which the parser walks by index.  Generator tokens are xiK
 (Grassmann and odd form coordinates), xK (even coordinates), thK (odd
 superfunction coordinates), dxK and dxiK (form generators), and zeta,
 an alias for xi1 meant for rank-1 readouts.  Numbers are nonnegative
@@ -21,7 +23,6 @@ an optional "q=N:" rank prefix, also accepted on bare elements.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .derham import SuperForm
@@ -38,186 +39,145 @@ __all__ = ["parse", "parse_scalar", "print_canonical"]
 _MAX_ENDO_SUPPORT = 1 << 16
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "gen" | "op" | "q"
-    value: object
-    pos: int
-
-
+# every character lands in one group: whitespace in none, and the
+# ones the grammar has no use for in "bad"
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
+    r"\s+"
     r"|(?P<number>\d+)"
-    r"|(?P<gen>zeta|dxi\d+|dx\d+|xi\d+|x\d+|th\d+)"
-    r"|(?P<q>q)"
-    r"|(?P<op>[+\-*/^=;:])"
+    r"|(?P<zeta>zeta)"
+    r"|(?P<family>dxi|dx|xi|x|th)(?P<index>\d+)"
+    r"|(?P<op>[+\-*/^=;:q])"
+    r"|(?P<bad>.)"
 )
 
-_GEN_RE = re.compile(r"(dxi|dx|xi|x|th)(\d+)")
+def _tokenize(text: str) -> list[tuple]:
+    """Tokens in text order, closed by ("end", None, len(text)).
 
-
-def _to_int(digits: str, pos: int) -> int:
+    kind is "number" (value the int), "gen" (value (family, index), with
+    zeta read as ("zeta", 1)) or an operator character, q included
+    (value None).
+    """
+    tokens: list[tuple] = []
     try:
-        return int(digits)
+        for match in _TOKEN_RE.finditer(text):
+            kind = match.lastgroup
+            if kind is None:  # whitespace
+                continue
+            pos = match.start()
+            if kind == "op":
+                tokens.append((match[0], None, pos))
+            elif kind == "index":  # a generator: family, then index digits
+                tokens.append(("gen", (match["family"], int(match["index"])), pos))
+            elif kind == "number":
+                tokens.append(("number", int(match[0]), pos))
+            elif kind == "zeta":
+                tokens.append(("gen", ("zeta", 1), pos))
+            else:
+                raise ParseError(f"unexpected character {match[0]!r}", pos)
     except ValueError:
         # int() refuses digit strings longer than the interpreter's limit
+        digits = match[kind]
         raise ParseError(f"{len(digits)}-digit number is too long", pos) from None
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if match.lastgroup == "number":
-            tokens.append(_Token("number", _to_int(match.group(), pos), pos))
-        elif match.lastgroup == "gen":
-            word = match.group()
-            if word == "zeta":
-                tokens.append(_Token("gen", ("zeta", 1), pos))
-            else:
-                kind, index = _GEN_RE.fullmatch(word).groups()
-                tokens.append(_Token("gen", (kind, _to_int(index, pos)), pos))
-        elif match.lastgroup == "q":
-            tokens.append(_Token("q", "q", pos))
-        elif match.lastgroup == "op":
-            tokens.append(_Token("op", match.group(), pos))
-        pos = match.end()
+    tokens.append(("end", None, len(text)))
     return tokens
 
 
-def _split_on(tokens: list[_Token], op: str) -> list[list[_Token]]:
-    groups: list[list[_Token]] = []
-    current: list[_Token] = []
-    for tok in tokens:
-        if tok.kind == "op" and tok.value == op:
-            groups.append(current)
-            current = []
+def _fail(token: tuple, message: str):
+    """Raise message at token, or the end-of-text error at the sentinel."""
+    kind, _, pos = token
+    if kind == "end":
+        message = "unexpected end of expression"
+    raise ParseError(message, pos)
+
+
+def _split_on_semicolons(tokens: list[tuple], start: int = 0) -> list[list[tuple]]:
+    """tokens[start:] cut at each ';', every piece closed by the sentinel."""
+    groups: list[list[tuple]] = [[]]
+    for token in tokens[start:-1]:
+        if token[0] == ";":
+            groups.append([])
         else:
-            current.append(tok)
-    groups.append(current)
-    return groups
+            groups[-1].append(token)
+    return [group + tokens[-1:] for group in groups]
 
 
 # a parsed term: (coefficient, [(generator kind, index, power), ...])
 _RawTerm = tuple[Fraction, list[tuple[str, int, int]]]
 
 
-class _Stream:
-    def __init__(self, tokens: list[_Token], end_pos: int):
-        self.tokens = tokens
-        self.i = 0
-        self.end_pos = end_pos
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", self.end_pos)
-        self.i += 1
-        return tok
-
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "op" and tok.value in ops
-
-
-def _parse_number(stream: _Stream) -> Fraction:
-    tok = stream.take()
-    if tok.kind != "number":
-        raise ParseError("number expected", tok.pos)
-    value = Fraction(tok.value)
-    if stream.at_op("/"):
-        stream.take()
-        denom_tok = stream.take()
-        if denom_tok.kind != "number" or denom_tok.value == 0:
-            raise ParseError("nonzero denominator expected", denom_tok.pos)
-        value /= denom_tok.value
-    return value
-
-
-def _parse_term(stream: _Stream, allow_sign: bool) -> _RawTerm:
-    sign = 1
-    if allow_sign and stream.at_op("+", "-"):
-        if stream.take().value == "-":
-            sign = -1
-    tok = stream.peek()
-    if tok is None:
-        raise ParseError("empty term", stream.end_pos)
-
-    coeff = Fraction(sign)
-    factors: list[tuple[str, int, int]] = []
-
-    if tok.kind == "number":
-        coeff *= _parse_number(stream)
-        if not stream.at_op("*"):
-            return coeff, factors
-        stream.take()
-
+def _parse_expression(tokens: list[tuple], i: int = 0) -> list[_RawTerm]:
+    """The sum of terms in tokens[i:], up to the sentinel."""
+    if tokens[i][0] == "end":
+        raise ParseError("empty expression", tokens[i][2])
+    terms: list[_RawTerm] = []
     while True:
-        tok = stream.take()
-        if tok.kind != "gen":
-            raise ParseError("generator expected", tok.pos)
-        kind, index = tok.value
-        power = 1
-        if stream.at_op("^"):
-            caret = stream.take()
-            if kind not in ("x", "dxi"):
-                raise ParseError(
-                    f"'^' is not allowed on odd generator {kind}{index}",
-                    caret.pos,
-                )
-            power_tok = stream.take()
-            if power_tok.kind != "number":
-                raise ParseError("exponent expected", power_tok.pos)
-            power = power_tok.value
-        factors.append((kind, index, power))
-        if stream.at_op("*"):
-            stream.take()
-            continue
-        return coeff, factors
-
-
-def _parse_expression(tokens: list[_Token], end_pos: int) -> list[_RawTerm]:
-    stream = _Stream(tokens, end_pos)
-    if stream.peek() is None:
-        raise ParseError("empty expression", end_pos)
-    terms = [_parse_term(stream, allow_sign=True)]
-    while True:
-        tok = stream.peek()
-        if tok is None:
+        kind, value, pos = tokens[i]
+        numerator, denominator = 1, 1
+        if kind == "+" or kind == "-":
+            if kind == "-":
+                numerator = -1
+            i += 1
+            kind, value, pos = tokens[i]
+            if kind == "end":
+                raise ParseError("empty term", pos)
+        elif terms:
+            raise ParseError("'+' or '-' expected between terms", pos)
+        more = True
+        if kind == "number":
+            numerator *= value
+            if tokens[i + 1][0] == "/":
+                denom = tokens[i + 2]
+                if denom[0] != "number" or denom[1] == 0:
+                    _fail(denom, "nonzero denominator expected")
+                denominator = denom[1]
+                i += 2
+            i += 1
+            more = tokens[i][0] == "*"
+            if more:
+                i += 1
+        factors: list[tuple[str, int, int]] = []
+        while more:
+            token = tokens[i]
+            if token[0] != "gen":
+                _fail(token, "generator expected")
+            family, index = token[1]
+            power = 1
+            if tokens[i + 1][0] == "^":
+                if family not in ("x", "dxi"):
+                    raise ParseError(
+                        f"'^' is not allowed on odd generator {family}{index}",
+                        tokens[i + 1][2],
+                    )
+                exponent = tokens[i + 2]
+                if exponent[0] != "number":
+                    _fail(exponent, "exponent expected")
+                power = exponent[1]
+                i += 2
+            factors.append((family, index, power))
+            i += 1
+            more = tokens[i][0] == "*"
+            if more:
+                i += 1
+        terms.append((Fraction(numerator, denominator), factors))
+        if tokens[i][0] == "end":
             return terms
-        if tok.kind == "op" and tok.value in ("+", "-"):
-            stream.take()
-            coeff, factors = _parse_term(stream, allow_sign=False)
-            if tok.value == "-":
-                coeff = -coeff
-            terms.append((coeff, factors))
-            continue
-        raise ParseError("'+' or '-' expected between terms", tok.pos)
 
 
-def _strip_rank_prefix(
-    tokens: list[_Token], end_pos: int
-) -> tuple[int | None, list[_Token]]:
-    if tokens and tokens[0].kind == "q":
-        stream = _Stream(tokens, end_pos)
-        stream.take()
-        eq = stream.take()
-        if eq.kind != "op" or eq.value != "=":
-            raise ParseError("'=' expected after q", eq.pos)
-        rank_tok = stream.take()
-        if rank_tok.kind != "number":
-            raise ParseError("rank expected after q=", rank_tok.pos)
-        colon = stream.take()
-        if colon.kind != "op" or colon.value != ":":
-            raise ParseError("':' expected after rank prefix", colon.pos)
-        return rank_tok.value, tokens[stream.i :]
-    return None, tokens
+_RANK_PREFIX = (
+    ("=", "'=' expected after q"),
+    ("number", "rank expected after q="),
+    (":", "':' expected after rank prefix"),
+)
+
+
+def _strip_rank_prefix(tokens: list[tuple]) -> tuple[int | None, int]:
+    """An optional "q=N:" prefix: (its rank or None, where the rest starts)."""
+    if tokens[0][0] != "q":
+        return None, 0
+    for token, (kind, message) in zip(tokens[1:], _RANK_PREFIX):
+        if token[0] != kind:
+            _fail(token, message)
+    return tokens[2][1], 4
 
 
 def _element_from_terms(
@@ -240,20 +200,17 @@ def _element_from_terms(
 
 def parse_element(text: str, rank: int | None) -> GrassmannElement:
     tokens = _tokenize(text)
-    prefix_rank, tokens = _strip_rank_prefix(tokens, len(text))
+    prefix_rank, start = _strip_rank_prefix(tokens)
     if prefix_rank is not None:
         rank = prefix_rank
     if rank is None:
         raise ParseError("no rank given for element")
-    raw = _parse_expression(tokens, len(text))
-    return _element_from_terms(raw, rank, len(text))
+    return _element_from_terms(_parse_expression(tokens, start), rank, len(text))
 
 
 def parse_superfunction(text: str, spec: SuperDomainSpec) -> SuperFunction:
-    tokens = _tokenize(text)
-    raw = _parse_expression(tokens, len(text))
     converted = []
-    for coeff, factors in raw:
+    for coeff, factors in _parse_expression(_tokenize(text)):
         exponents = [0] * spec.even_dim
         odd: list[int] = []
         for kind, index, power in factors:
@@ -274,10 +231,8 @@ def parse_superfunction(text: str, spec: SuperDomainSpec) -> SuperFunction:
 
 
 def parse_form(text: str, even_dim: int, odd_dim: int) -> SuperForm:
-    tokens = _tokenize(text)
-    raw = _parse_expression(tokens, len(text))
     converted = []
-    for coeff, factors in raw:
+    for coeff, factors in _parse_expression(_tokenize(text)):
         x_exp = [0] * even_dim
         dxi_exp = [0] * odd_dim
         xi_idx: list[int] = []
@@ -315,26 +270,26 @@ def _parse_assignments(
 ) -> list[tuple[int, list[_RawTerm], int]]:
     """Split map text into (generator index, raw expression, pos) rows."""
     tokens = _tokenize(text)
-    if not tokens:
+    if tokens[0][0] == "end":
         # the map with no assignments; legal for a rank-0 source
         return []
     out = []
     seen: set[int] = set()
-    for group in _split_on(tokens, ";"):
-        if not group:
-            raise ParseError("empty assignment", len(text))
-        head = group[0]
-        if head.kind != "gen" or head.value[0] != "xi":
-            raise ParseError("assignment must start with xiK", head.pos)
-        index = head.value[1]
+    for group in _split_on_semicolons(tokens):
+        kind, head, pos = group[0]
+        if kind == "end":
+            raise ParseError("empty assignment", pos)
+        if kind != "gen" or head[0] != "xi":
+            raise ParseError("assignment must start with xiK", pos)
+        index = head[1]
         if index < 1:
             raise IndexOutOfRange(f"generator index {index} must be >= 1")
         if index in seen:
-            raise ParseError(f"xi{index} assigned twice", head.pos)
+            raise ParseError(f"xi{index} assigned twice", pos)
         seen.add(index)
-        if len(group) < 2 or group[1].kind != "op" or group[1].value != "=":
-            raise ParseError("'=' expected in assignment", head.pos)
-        out.append((index, _parse_expression(group[2:], len(text)), head.pos))
+        if group[1][0] != "=":
+            raise ParseError("'=' expected in assignment", pos)
+        out.append((index, _parse_expression(group, 2), pos))
     return out
 
 
@@ -379,23 +334,24 @@ def parse_point(
     text: str, spec: SuperDomainSpec, default_rank: int | None
 ) -> QPoint:
     tokens = _tokenize(text)
-    rank, tokens = _strip_rank_prefix(tokens, len(text))
+    rank, start = _strip_rank_prefix(tokens)
     if rank is None:
         rank = default_rank
     if rank is None:
         raise ParseError("no rank given for point")
     expected = spec.even_dim + spec.odd_dim
     if expected == 0:
-        if tokens:
-            raise ParseError("0 coordinates expected", tokens[0].pos)
+        kind, _, pos = tokens[start]
+        if kind != "end":
+            raise ParseError("0 coordinates expected", pos)
         return QPoint(rank, (), ())
-    groups = _split_on(tokens, ";")
+    groups = _split_on_semicolons(tokens, start)
     if len(groups) != expected:
         raise ParseError(
             f"{expected} coordinates expected, got {len(groups)}"
         )
     coords = [
-        _element_from_terms(_parse_expression(group, len(text)), rank, len(text))
+        _element_from_terms(_parse_expression(group), rank, len(text))
         for group in groups
     ]
     return QPoint(
