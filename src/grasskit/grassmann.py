@@ -617,20 +617,22 @@ def mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     a._check(b, "multiply")
     den_a, nums_a = a._numerators()
     den_b, nums_b = b._numerators()
-    full = (1 << a._space) - 1
-    size_b = len(nums_b)
+    space = a._space
+    # 2^k < len(b) exactly when k < few; comparing bit counts keeps a
+    # huge rank from ever building a rank-wide mask
+    few = (len(nums_b) - 1).bit_length()
     get_b = nums_b.get
     acc: dict[int, int] = {}
     get = acc.get
     for left, na in nums_a.items():
-        free = full ^ left
         # suffix xor: bit j of odd is the parity of left's bits above j
         odd = left >> 1
         shift = 1
         while odd >> shift:
             odd ^= odd >> shift
             shift <<= 1
-        if (1 << free.bit_count()) < size_b:
+        if space - left.bit_count() < few:
+            free = ((1 << space) - 1) ^ left
             right = free
             while True:
                 nb = get_b(right)

@@ -275,6 +275,29 @@ def test_huge_power_with_a_long_result_is_a_quick_budget_error():
         assert time.perf_counter() - start < seconds
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["mul", "-q", "40000000000", "xi1", "xi2"], "xi1*xi2\n"),
+    (["invert", "-q", "40000000000", "1 + xi1"], "1 - xi1\n"),
+    (["lemma1", "-q", "40000000000", "--gens", "xi1;xi2"],
+     "m = 1\nbeta = xi1\nscale = 1\ndimension = 4\nverified = true\n"),
+])
+def test_huge_rank_with_few_terms_is_quick(argv, expected):
+    # a rank-wide mask alone would be 5 GB at this rank
+    start = time.perf_counter()
+    assert run_cli(argv) == (0, expected, "")
+    assert time.perf_counter() - start < 2
+
+
+def test_huge_endo_support_is_a_quick_budget_error():
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["eact", "--dims", "1,0", "-q", "1", "--map", "xi1" + "0" * 24 + "=0", "1"]
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("BudgetExceeded: endomorphism support 1000")
+    assert time.perf_counter() - start < 2
+
+
 _SMALL_WINDOW = ["derham-cohomology", "--dims", "1,0", "--max-degree", "1", "--max-weight", "1"]
 
 
