@@ -46,6 +46,7 @@ All coefficients are exact rationals and all values immutable.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
@@ -436,12 +437,21 @@ def antiderivative(form: SuperForm) -> SuperForm:
 
 
 def _bounded_tuples(parts: int, max_total: int):
-    if parts == 0:
-        yield ()
-        return
-    for head in range(max_total + 1):
-        for tail in _bounded_tuples(parts - 1, max_total - head):
-            yield (head,) + tail
+    """Every tuple of parts nonnegative ints summing to at most max_total."""
+    for total in range(max_total + 1):
+        for slots in combinations_with_replacement(range(parts), total):
+            exponents = [0] * parts
+            for slot in slots:
+                exponents[slot] += 1
+            yield tuple(exponents)
+
+
+def _bounded_masks(dim: int, max_bits: int):
+    """(mask, 1-based indices) for every subset of dim generators with at
+    most max_bits members, so no mask over the bound is ever visited."""
+    for size in range(min(dim, max_bits) + 1):
+        for bits in combinations(range(dim), size):
+            yield sum(1 << bit for bit in bits), tuple(bit + 1 for bit in bits)
 
 
 def form_blocks(
@@ -454,37 +464,47 @@ def form_blocks(
     """All monomials bucketed by (form degree, weight), within bounds.
 
     Raises BudgetExceeded when more than budget monomials would be
-    enumerated.
+    enumerated.  A monomial holds m + n exponents, so past 64
+    coordinates the budget caps exponents instead, 64 per monomial; a
+    wide window then cannot fill memory before the count runs out.
+    Every visited mask yields a monomial, so the work grows with the
+    window, not with 2^dim.
     """
     if max_degree < 0 or max_weight < 0:
         raise NonCanonicalRank("bounds must be nonnegative")
+    width = even_dim + odd_dim
+    limit, wide = budget, ""
+    if width > 64:
+        limit, wide = budget * 64 // width, f" of {width} coordinates"
+    refusal = f"more than {limit} monomials{wide} in the requested degree/weight window"
+    if limit < 1:  # before even the constant monomial is built
+        raise BudgetExceeded(refusal)
     blocks: dict[tuple[int, int], list[FormMonomial]] = {}
+    indices: dict[int, tuple[int, ...]] = {}
     count = 0
     for x_exp in _bounded_tuples(even_dim, max_weight):
         weight_x = sum(x_exp)
-        for xi_mask in range(1 << odd_dim):
-            weight_xi = weight_x + xi_mask.bit_count()
-            if weight_xi > max_weight:
-                continue
-            for dx_mask in range(1 << even_dim):
-                degree_dx = dx_mask.bit_count()
+        for xi_mask, xi_idx in _bounded_masks(odd_dim, max_weight - weight_x):
+            indices[xi_mask] = xi_idx
+            weight_xi = weight_x + len(xi_idx)
+            dx_bound = min(max_weight - weight_xi, max_degree)
+            for dx_mask, dx_idx in _bounded_masks(even_dim, dx_bound):
+                indices[dx_mask] = dx_idx
+                degree_dx = len(dx_idx)
                 weight_dx = weight_xi + degree_dx
-                if weight_dx > max_weight or degree_dx > max_degree:
-                    continue
                 room = min(max_weight - weight_dx, max_degree - degree_dx)
                 for dxi_exp in _bounded_tuples(odd_dim, room):
                     count += 1
-                    if count > budget:
-                        raise BudgetExceeded(
-                            f"more than {budget} monomials in the requested "
-                            "degree/weight window"
-                        )
+                    if count > limit:
+                        raise BudgetExceeded(refusal)
                     extra = sum(dxi_exp)
                     mono = FormMonomial(x_exp, xi_mask, dx_mask, dxi_exp)
                     blocks.setdefault((degree_dx + extra, weight_dx + extra), []).append(mono)
     # within a block degree and weight are fixed, so the rest of
     # FormMonomial.sort_key decides the order
-    indices = [indices_of(mask) for mask in range(1 << max(even_dim, odd_dim))]
+    # blocks themselves come in the order a walk over every mask would
+    # first meet them: a block key depends only on the sums and popcounts,
+    # and each loop meets those in ascending order
     for block in blocks.values():
         block.sort(key=lambda m: (m.x_exp, indices[m.xi_mask], indices[m.dx_mask], m.dxi_exp))
     return blocks

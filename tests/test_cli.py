@@ -298,6 +298,29 @@ def test_huge_endo_support_is_a_quick_budget_error():
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize("dims, degree, weight, expected", [
+    ("3000,0", 0, 0, (0, "H^0 = 1\ncross-check = agree\n", "")),
+    ("0,16", 1, 0, (0, "H^0 = 1\nH^1 = 0\ncross-check = agree\n", "")),
+    ("0,18", 1, 0, (0, "H^0 = 1\nH^1 = 0\ncross-check = agree\n", "")),
+    ("0,22", 1, 0, (0, "H^0 = 1\nH^1 = 0\ncross-check = agree\n", "")),
+    ("40,0", 1, 0, (0, "H^0 = 1\nH^1 = 0\ncross-check = agree\n", "")),
+    ("3000,0", 0, 1, (1, "", "BudgetExceeded: more than 2133 monomials of 3000 "
+                      "coordinates in the requested degree/weight window\n")),
+    ("1000000000,0", 0, 0, (1, "", "BudgetExceeded: more than 0 monomials of "
+                            "1000000000 coordinates in the requested "
+                            "degree/weight window\n")),
+])
+def test_wide_de_rham_windows_are_quick(dims, degree, weight, expected):
+    # the window walk visits only masks within the bounds, and a wide
+    # window is capped by its exponents before memory fills up
+    start = time.perf_counter()
+    assert run_cli(
+        ["derham-cohomology", "--dims", dims, "--max-degree", str(degree),
+         "--max-weight", str(weight)]
+    ) == expected
+    assert time.perf_counter() - start < 1
+
+
 _SMALL_WINDOW = ["derham-cohomology", "--dims", "1,0", "--max-degree", "1", "--max-weight", "1"]
 
 
