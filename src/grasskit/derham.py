@@ -46,7 +46,7 @@ All coefficients are exact rationals and all values immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
@@ -437,21 +437,22 @@ def antiderivative(form: SuperForm) -> SuperForm:
 
 
 def _bounded_tuples(parts: int, max_total: int):
-    """Every tuple of parts nonnegative ints summing to at most max_total."""
+    """(t, sum(t)) for every tuple t of parts nonnegative ints summing to
+    at most max_total."""
+    every_part = range(parts)
     for total in range(max_total + 1):
-        for slots in combinations_with_replacement(range(parts), total):
-            exponents = [0] * parts
-            for slot in slots:
-                exponents[slot] += 1
-            yield tuple(exponents)
+        for slots in combinations_with_replacement(every_part, total):
+            yield tuple(map(slots.count, every_part)), total
 
 
 def _bounded_masks(dim: int, max_bits: int):
-    """(mask, 1-based indices) for every subset of dim generators with at
-    most max_bits members, so no mask over the bound is ever visited."""
+    """(mask, 1-based indices) for every subset of at most max_bits of
+    dim generators, so no mask over the bound is ever visited."""
+    bits = [1 << i for i in range(dim)]
     for size in range(min(dim, max_bits) + 1):
-        for bits in combinations(range(dim), size):
-            yield sum(1 << bit for bit in bits), tuple(bit + 1 for bit in bits)
+        yield from zip(
+            map(sum, combinations(bits, size)), combinations(range(1, dim + 1), size)
+        )
 
 
 def form_blocks(
@@ -479,32 +480,42 @@ def form_blocks(
     refusal = f"more than {limit} monomials{wide} in the requested degree/weight window"
     if limit < 1:  # before even the constant monomial is built
         raise BudgetExceeded(refusal)
+    walks: dict[tuple, list] = {}
+
+    def walk(bounded, dim: int, bound: int) -> list:
+        # each item below yields at least one monomial, so a walk cut
+        # after limit + 1 items overruns the budget before its end
+        key = (bounded, dim, bound)
+        if key not in walks:
+            walks[key] = list(islice(bounded(dim, bound), limit + 1))
+        return walks[key]
+
     blocks: dict[tuple[int, int], list[FormMonomial]] = {}
-    indices: dict[int, tuple[int, ...]] = {}
     count = 0
-    for x_exp in _bounded_tuples(even_dim, max_weight):
-        weight_x = sum(x_exp)
-        for xi_mask, xi_idx in _bounded_masks(odd_dim, max_weight - weight_x):
-            indices[xi_mask] = xi_idx
+    for x_exp, weight_x in _bounded_tuples(even_dim, max_weight):
+        for xi_mask, xi_idx in walk(_bounded_masks, odd_dim, max_weight - weight_x):
             weight_xi = weight_x + len(xi_idx)
             dx_bound = min(max_weight - weight_xi, max_degree)
-            for dx_mask, dx_idx in _bounded_masks(even_dim, dx_bound):
-                indices[dx_mask] = dx_idx
+            for dx_mask, dx_idx in walk(_bounded_masks, even_dim, dx_bound):
                 degree_dx = len(dx_idx)
                 weight_dx = weight_xi + degree_dx
                 room = min(max_weight - weight_dx, max_degree - degree_dx)
-                for dxi_exp in _bounded_tuples(odd_dim, room):
+                for dxi_exp, extra in walk(_bounded_tuples, odd_dim, room):
                     count += 1
                     if count > limit:
                         raise BudgetExceeded(refusal)
-                    extra = sum(dxi_exp)
                     mono = FormMonomial(x_exp, xi_mask, dx_mask, dxi_exp)
                     blocks.setdefault((degree_dx + extra, weight_dx + extra), []).append(mono)
-    # within a block degree and weight are fixed, so the rest of
-    # FormMonomial.sort_key decides the order
-    # blocks themselves come in the order a walk over every mask would
-    # first meet them: a block key depends only on the sums and popcounts,
-    # and each loop meets those in ascending order
+    # blocks come in the order a walk over every mask would first meet
+    # them: a block key depends only on sums and popcounts, and each loop
+    # meets those in ascending order.  Within a block degree and weight
+    # are fixed, so the rest of FormMonomial.sort_key decides the order.
+    indices = {
+        mask: idx
+        for (bounded, _, _), items in walks.items()
+        if bounded is _bounded_masks
+        for mask, idx in items
+    }
     for block in blocks.values():
         block.sort(key=lambda m: (m.x_exp, indices[m.xi_mask], indices[m.dx_mask], m.dxi_exp))
     return blocks
