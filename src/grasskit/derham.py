@@ -439,10 +439,13 @@ def antiderivative(form: SuperForm) -> SuperForm:
 def _bounded_tuples(parts: int, max_total: int):
     """(t, sum(t)) for every tuple t of parts nonnegative ints summing to
     at most max_total."""
-    every_part = range(parts)
+    zeros = [0] * parts
     for total in range(max_total + 1):
-        for slots in combinations_with_replacement(every_part, total):
-            yield tuple(map(slots.count, every_part)), total
+        for slots in combinations_with_replacement(range(parts), total):
+            exponents = zeros.copy()
+            for slot in slots:
+                exponents[slot] += 1
+            yield tuple(exponents), total
 
 
 def _bounded_masks(dim: int, max_bits: int):

@@ -346,13 +346,6 @@ def test_form_blocks_caps_exponents_past_64_coordinates():
         form_blocks(65, 0, max_degree=0, max_weight=1, budget=50)
 
 
-def test_form_blocks_spans_thousands_of_coordinates():
-    # the constant is the one monomial of weight 0, however many slots
-    blocks = form_blocks(1500, 1500, max_degree=0, max_weight=0)
-    assert list(blocks) == [(0, 0)]
-    assert blocks[0, 0] == [FormMonomial((0,) * 1500, 0, 0, (0,) * 1500)]
-
-
 def test_cohomology_is_trivial_in_positive_degree():
     for m, n in [(0, 1), (1, 1), (0, 2)]:
         dims = cohomology_dims(m, n, max_degree=3, max_weight=5)

@@ -400,8 +400,8 @@ def test_parse_scalar_error_message():
 
 
 def test_endo_support_is_capped_before_anything_is_allocated():
-    # one image per generator up to the support; 10^24 of them used to
-    # end in a raw OverflowError, 10^8 in gigabytes of zero images
+    # one image is stored per generator up to the support: 10^24 of them
+    # overflow a list, and 10^8 would take gigabytes of zero images
     with pytest.raises(BudgetExceeded) as exc:
         parse("endo", "xi1" + "0" * 24 + "=0")
     assert "support 1" + "0" * 24 + " is over the 65536-generator cap" in str(exc.value)
