@@ -46,7 +46,7 @@ All coefficients are exact rationals and all values immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import combinations, islice
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
@@ -242,20 +242,9 @@ class SuperForm(TermMap):
         return self._space[1]
 
     @property
-    def form_degree(self) -> int | None:
-        """Common form degree of all terms, or None when mixed/zero."""
-        degrees = {m.degree for m in self._terms}
-        return degrees.pop() if len(degrees) == 1 else None
-
-    @property
     def weight(self) -> int | None:
         weights = {m.weight for m in self._terms}
         return weights.pop() if len(weights) == 1 else None
-
-    @property
-    def total_parity(self) -> int | None:
-        parities = {m.total_parity for m in self._terms}
-        return parities.pop() if len(parities) == 1 else None
 
     def weight_split(self) -> dict[int, "SuperForm"]:
         """Decompose into homogeneous-weight pieces."""
@@ -364,8 +353,9 @@ def _d_rule(mono: FormMonomial) -> list[tuple[FormMonomial, int]]:
     n_xi = xi_mask.bit_count()
     out = []
     for i, e in enumerate(x_exp):
-        bit = 1 << i
-        if e and not dx_mask & bit:
+        # a mask bit is built only where it is needed: 1 << i costs i bits
+        if e and not dx_mask >> i & 1:
+            bit = 1 << i
             hops = n_xi + (dx_mask & (bit - 1)).bit_count()
             key = FormMonomial(_shift(x_exp, i, -1), xi_mask, dx_mask | bit, dxi_exp)
             out.append((key, -e if hops & 1 else e))
@@ -392,8 +382,8 @@ def _euler_rule(mono: FormMonomial) -> list[tuple[FormMonomial, int]]:
         key = FormMonomial(_shift(x_exp, bit.bit_length() - 1, 1), xi_mask, dx_mask ^ bit, dxi_exp)
         out.append((key, -1 if hops & 1 else 1))
     for a, e in enumerate(dxi_exp):
-        bit = 1 << a
-        if e and not xi_mask & bit:
+        if e and not xi_mask >> a & 1:
+            bit = 1 << a
             hops = (xi_mask & (bit - 1)).bit_count()
             key = FormMonomial(x_exp, xi_mask | bit, dx_mask, _shift(dxi_exp, a, -1))
             out.append((key, -e if hops & 1 else e))
@@ -438,24 +428,29 @@ def antiderivative(form: SuperForm) -> SuperForm:
 
 def _bounded_tuples(parts: int, max_total: int):
     """(t, sum(t)) for every tuple t of parts nonnegative ints summing to
-    at most max_total."""
-    zeros = [0] * parts
+    at most max_total, by ascending sum."""
+    if parts < 2:
+        # no bars to place; combinations would copy its whole pool
+        for total in range(max_total + 1 if parts else 1):
+            yield (total,) * parts, total
+        return
     for total in range(max_total + 1):
-        for slots in combinations_with_replacement(range(parts), total):
-            exponents = zeros.copy()
-            for slot in slots:
-                exponents[slot] += 1
-            yield tuple(exponents), total
+        # stars and bars: parts - 1 bars among total + parts - 1 places,
+        # and each exponent is the run of stars between two bars
+        end = total + parts - 1
+        for bars in combinations(range(end), parts - 1):
+            edges = (-1, *bars, end)
+            yield tuple(edges[i + 1] - edges[i] - 1 for i in range(parts)), total
 
 
 def _bounded_masks(dim: int, max_bits: int):
-    """(mask, 1-based indices) for every subset of at most max_bits of
-    dim generators, so no mask over the bound is ever visited."""
-    bits = [1 << i for i in range(dim)]
+    """(mask, popcount) for every subset of at most max_bits of dim
+    generators, so no mask over the bound is ever visited.  Each mask is
+    built when it is visited: a list of all dim bits would hold about
+    dim^2 / 16 bytes."""
     for size in range(min(dim, max_bits) + 1):
-        yield from zip(
-            map(sum, combinations(bits, size)), combinations(range(1, dim + 1), size)
-        )
+        for chosen in combinations(range(dim), size):
+            yield sum(map((1).__lshift__, chosen)), size
 
 
 def form_blocks(
@@ -473,6 +468,11 @@ def form_blocks(
     wide window then cannot fill memory before the count runs out.
     Every visited mask yields a monomial, so the work grows with the
     window, not with 2^dim.
+
+    Blocks come in the order a walk over every mask would first meet
+    them: a block key depends only on sums and popcounts, and each loop
+    meets those in ascending order.  Within a block, monomials come in
+    walk order.
     """
     if max_degree < 0 or max_weight < 0:
         raise NonCanonicalRank("bounds must be nonnegative")
@@ -496,11 +496,10 @@ def form_blocks(
     blocks: dict[tuple[int, int], list[FormMonomial]] = {}
     count = 0
     for x_exp, weight_x in _bounded_tuples(even_dim, max_weight):
-        for xi_mask, xi_idx in walk(_bounded_masks, odd_dim, max_weight - weight_x):
-            weight_xi = weight_x + len(xi_idx)
+        for xi_mask, n_xi in walk(_bounded_masks, odd_dim, max_weight - weight_x):
+            weight_xi = weight_x + n_xi
             dx_bound = min(max_weight - weight_xi, max_degree)
-            for dx_mask, dx_idx in walk(_bounded_masks, even_dim, dx_bound):
-                degree_dx = len(dx_idx)
+            for dx_mask, degree_dx in walk(_bounded_masks, even_dim, dx_bound):
                 weight_dx = weight_xi + degree_dx
                 room = min(max_weight - weight_dx, max_degree - degree_dx)
                 for dxi_exp, extra in walk(_bounded_tuples, odd_dim, room):
@@ -509,18 +508,15 @@ def form_blocks(
                         raise BudgetExceeded(refusal)
                     mono = FormMonomial(x_exp, xi_mask, dx_mask, dxi_exp)
                     blocks.setdefault((degree_dx + extra, weight_dx + extra), []).append(mono)
-    # blocks come in the order a walk over every mask would first meet
-    # them: a block key depends only on sums and popcounts, and each loop
-    # meets those in ascending order.  Within a block degree and weight
-    # are fixed, so the rest of FormMonomial.sort_key decides the order.
-    indices = {
-        mask: idx
-        for (bounded, _, _), items in walks.items()
-        if bounded is _bounded_masks
-        for mask, idx in items
-    }
-    for block in blocks.values():
-        block.sort(key=lambda m: (m.x_exp, indices[m.xi_mask], indices[m.dx_mask], m.dxi_exp))
+    return blocks
+
+
+def _window(even_dim, odd_dim, max_degree, max_weight, budget) -> dict:
+    """form_blocks for a cohomology route, whose result lists every degree
+    up to max_degree, so a max_degree of budget or more is refused too."""
+    blocks = form_blocks(even_dim, odd_dim, max_degree, max_weight, budget)
+    if max_degree >= budget:
+        raise BudgetExceeded(f"max degree {max_degree} lists more degrees than budget {budget}")
     return blocks
 
 
@@ -553,7 +549,7 @@ def cohomology_dims(
     independent of the homotopy route.
     """
     blocks: dict[tuple[int, tuple[int, ...]], list[FormMonomial]] = {}
-    for (p, _), monos in form_blocks(even_dim, odd_dim, max_degree, max_weight, budget).items():
+    for (p, _), monos in _window(even_dim, odd_dim, max_degree, max_weight, budget).items():
         for mono in monos:
             blocks.setdefault((p, mono.weight_vector), []).append(mono)
     ranks = {key: _d_rank(monos) for key, monos in blocks.items()}
@@ -577,7 +573,7 @@ def cohomology_dims_by_homotopy(
     closed form exact, so only the weight-0 block survives, and that
     block is the constants sitting in degree 0.
     """
-    blocks = form_blocks(even_dim, odd_dim, max_degree, max_weight, budget)
+    blocks = _window(even_dim, odd_dim, max_degree, max_weight, budget)
     for (_, w), monos in blocks.items():
         for mono in monos:
             homotopy: dict[FormMonomial, int] = {}

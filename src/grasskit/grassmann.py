@@ -11,7 +11,7 @@ set, and a > b.
 
 The sparse term map itself lives in TermMap, the core shared by
 GrassmannElement, points.SuperFunction and derham.SuperForm.  It holds
-the value operations (sums, scalar multiples, powers, equality, hashing,
+the value operations (sums, scalar multiples, equality, hashing,
 ordered printing) and a generic product that tries every term pair
 against a monomial merge rule; each value class only supplies its key
 type and order, its merge rule, its factor names and JSON shape, and the
@@ -273,14 +273,6 @@ class TermMap:
         if c == 0:
             return self._make(self._space, {})
         return self._make(self._space, {k: v * c for k, v in self._terms.items()})
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        result = self._scalar(self._space, Fraction(1))
-        for _ in range(exponent):
-            result = result * self
-        return result
 
     def __str__(self) -> str:
         return self.to_text()

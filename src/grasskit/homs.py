@@ -349,17 +349,6 @@ class HomReport:
             and self.surjective is not False
         )
 
-    def to_json(self) -> dict:
-        return {
-            "unital": self.unital,
-            "multiplicative_failures": [
-                list(pair) for pair in self.multiplicative_failures
-            ],
-            "grading_failures": list(self.grading_failures),
-            "surjective": self.surjective,
-            "ok": self.ok,
-        }
-
 
 HomLike = Union[GradedHom, OddLineHom]
 

@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DomainMismatch, NonCanonicalRank, NotOdd, RankMismatch
+from .errors import DomainMismatch, NonCanonicalRank, RankMismatch
 from .grassmann import (
     GrassmannElement,
-    Parity,
     generator,
     include_rank,
     project_rank,
@@ -59,16 +58,8 @@ class FiniteRangeEndo:
     range_rank: int
 
     def __post_init__(self):
-        if self.range_rank < 0:
-            raise NonCanonicalRank("range rank must be nonnegative")
-        for i, img in enumerate(self.images, start=1):
-            if img.rank != self.range_rank:
-                raise RankMismatch(
-                    f"image of xi{i} has rank {img.rank}, expected "
-                    f"{self.range_rank}"
-                )
-            if not img.is_zero and img.parity is not Parity.ODD:
-                raise NotOdd(f"image of xi{i} is not odd: {img}")
+        # the images are checked as the restriction to the support
+        self.as_hom(self.support)
 
     @property
     def support(self) -> int:
@@ -78,11 +69,8 @@ class FiniteRangeEndo:
         """Restriction to the rank-n source algebra."""
         if source_rank < 0:
             raise NonCanonicalRank("source rank must be nonnegative")
-        imgs = [
-            self.images[i - 1] if i <= self.support else zero(self.range_rank)
-            for i in range(1, source_rank + 1)
-        ]
-        return GradedHom(source_rank, tuple(imgs), self.range_rank)
+        pad = (zero(self.range_rank),) * (source_rank - self.support)
+        return GradedHom(source_rank, self.images[:source_rank] + pad, self.range_rank)
 
     def with_range(self, new_rank: int) -> "FiniteRangeEndo":
         """The same endomorphism declared at a larger range rank."""
@@ -95,9 +83,7 @@ class FiniteRangeEndo:
         )
 
     def to_text(self) -> str:
-        return "; ".join(
-            f"xi{i}={img.to_text()}" for i, img in enumerate(self.images, start=1)
-        )
+        return self.as_hom(self.support).to_text()
 
     def to_json(self) -> dict:
         return {

@@ -34,9 +34,10 @@ from .semigroup import FiniteRangeEndo, LimitPoint
 
 __all__ = ["parse", "parse_scalar", "print_canonical"]
 
-# an endomorphism stores one image per generator up to its support, so
-# a short text like "xi10000000000=0" would otherwise ask for billions
-_MAX_ENDO_SUPPORT = 1 << 16
+# a map stores one image per source generator, a monomial one bit per
+# generator index and a form one exponent per coordinate, so a short
+# text like "xi10000000000=0" would otherwise ask for billions
+_MAX_GENERATORS = 1 << 16
 
 
 # every character lands in one group: whitespace in none, and the
@@ -193,6 +194,8 @@ def _element_from_terms(
                 raise ParseError(
                     f"{kind}{index} is not a Grassmann generator", positions
                 )
+            if _MAX_GENERATORS < index <= rank:
+                raise BudgetExceeded(f"xi{index} is over the {_MAX_GENERATORS}-generator cap")
             indices.extend([index] * power)
         converted.append((indices, coeff))
     return normalize(rank, converted)
@@ -208,7 +211,14 @@ def parse_element(text: str, rank: int | None) -> GrassmannElement:
     return _element_from_terms(_parse_expression(tokens, start), rank, len(text))
 
 
+def _check_dims(even_dim: int, odd_dim: int) -> None:
+    if max(even_dim, odd_dim) > _MAX_GENERATORS:
+        raise BudgetExceeded(f"domain ({even_dim}, {odd_dim}) is over the "
+                             f"{_MAX_GENERATORS}-coordinate cap")
+
+
 def parse_superfunction(text: str, spec: SuperDomainSpec) -> SuperFunction:
+    _check_dims(spec.even_dim, spec.odd_dim)
     converted = []
     for coeff, factors in _parse_expression(_tokenize(text)):
         exponents = [0] * spec.even_dim
@@ -231,6 +241,7 @@ def parse_superfunction(text: str, spec: SuperDomainSpec) -> SuperFunction:
 
 
 def parse_form(text: str, even_dim: int, odd_dim: int) -> SuperForm:
+    _check_dims(even_dim, odd_dim)
     converted = []
     for coeff, factors in _parse_expression(_tokenize(text)):
         x_exp = [0] * even_dim
@@ -293,41 +304,31 @@ def _parse_assignments(
     return out
 
 
-def parse_hom(text: str, source_rank: int, target_rank: int) -> GradedHom:
-    assignments = _parse_assignments(text)
-    images = [zero(target_rank)] * source_rank
+def _images(assignments, count: int, rank: int, what: str) -> tuple[GrassmannElement, ...]:
+    """Images of xi1 .. xi<count> at rank, zero where unassigned."""
+    if count > _MAX_GENERATORS:
+        raise BudgetExceeded(f"{what} {count} is over the {_MAX_GENERATORS}-generator cap")
+    images = [zero(rank)] * count
     for index, raw, pos in assignments:
-        if index > source_rank:
-            raise IndexOutOfRange(
-                f"xi{index} outside the rank-{source_rank} source"
-            )
-        images[index - 1] = _element_from_terms(raw, target_rank, pos)
+        if index > count:
+            raise IndexOutOfRange(f"xi{index} outside the rank-{count} source")
+        images[index - 1] = _element_from_terms(raw, rank, pos)
+    return tuple(images)
+
+
+def parse_hom(text: str, source_rank: int, target_rank: int) -> GradedHom:
+    images = _images(_parse_assignments(text), source_rank, target_rank, "map source rank")
     return make_hom(source_rank, images, target_rank)
 
 
 def parse_endo(text: str) -> FiniteRangeEndo:
     assignments = _parse_assignments(text)
-    if not assignments:
-        return FiniteRangeEndo((), 0)
-    support = max(index for index, _, _ in assignments)
-    if support > _MAX_ENDO_SUPPORT:
-        raise BudgetExceeded(
-            f"endomorphism support {support} is over the "
-            f"{_MAX_ENDO_SUPPORT}-generator cap"
-        )
-    range_rank = 0
-    for _, raw, _ in assignments:
-        for _, factors in raw:
-            for kind, index, _ in factors:
-                if kind in ("xi", "zeta"):
-                    range_rank = max(range_rank, index)
-    images: list[GrassmannElement | None] = [None] * support
-    for index, raw, pos in assignments:
-        images[index - 1] = _element_from_terms(raw, range_rank, pos)
-    filled = tuple(
-        img if img is not None else zero(range_rank) for img in images
-    )
-    return FiniteRangeEndo(filled, range_rank)
+    support = max((index for index, _, _ in assignments), default=0)
+    # the range rank is the largest generator index any image names
+    range_rank = max((index for _, raw, _ in assignments for _, factors in raw
+                      for kind, index, _ in factors if kind in ("xi", "zeta")), default=0)
+    images = _images(assignments, support, range_rank, "endomorphism support")
+    return FiniteRangeEndo(images, range_rank)
 
 
 def parse_point(

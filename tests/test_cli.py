@@ -321,6 +321,78 @@ def test_wide_de_rham_windows_are_quick(dims, degree, weight, expected):
     assert time.perf_counter() - start < 1
 
 
+_BIG = "100000000000"
+_H0 = "H^0 = 1\ncross-check = agree\n"
+
+
+def _window(dims, degree, weight):
+    return ["derham-cohomology", "--dims", dims, "--max-degree", degree, "--max-weight", weight]
+
+
+# (argv, exit code, stdout, error name): sizes a short text can ask for
+# that would take gigabytes or hours unless refused or walked lazily
+HOSTILE_CASES = [
+    (["mul", "-q", "40000000000", "xi39999999999", "xi1"], 2, "", "BudgetExceeded"),
+    (["parse-check", "element", f"q={_BIG}: xi99999999999"], 2, "", "BudgetExceeded"),
+    (["lemma1", "-q", _BIG, "--gens", "xi99999999999"], 2, "", "BudgetExceeded"),
+    (["point-eval", "--dims", "0,1", "-q", _BIG, "th1", "xi99999999999"],
+     2, "", "BudgetExceeded"),
+    (["eact", "--dims", "1,0", "-q", "1", "--map", f"xi1=xi{_BIG}", "1"],
+     2, "", "BudgetExceeded"),
+    (["derham-d", "--dims", f"{_BIG},0", "x1"], 2, "", "BudgetExceeded"),
+    (["derham-antider", "--dims", f"0,{_BIG}", "dxi1"], 2, "", "BudgetExceeded"),
+    (["point-eval", "--dims", f"{_BIG},0", "-q", "1", "x1", "1"], 2, "", "BudgetExceeded"),
+    (["parse-check", "form", "x1", "--dims", f"{_BIG},0"], 2, "", "BudgetExceeded"),
+    (["parse-check", "superfunction", "x1", "--dims", f"{_BIG},0"], 2, "", "BudgetExceeded"),
+    (["parse-check", "hom", "-q", "30000000", "--target-rank", "1", "xi1=xi1"],
+     2, "", "BudgetExceeded"),
+    (["hom-apply", "-q", _BIG, "--target-rank", "1", "--map", "xi1=xi1", "xi1"],
+     2, "", "BudgetExceeded"),
+    (["point-map", "--dims", "0,1", "-q", _BIG, "--target-rank", "1", "--map", "xi1=xi1",
+      "xi1"], 2, "", "BudgetExceeded"),
+    (["hom-compose", "-q", "1", "--via", _BIG, "--target-rank", "1", "--inner", "xi1=xi1",
+      "--outer", "xi1=xi1"], 2, "", "BudgetExceeded"),
+    (_window("2,2", _BIG, "0"), 1, "", "BudgetExceeded"),
+    (_window("1,0", "0", "100000"), 1, "", "BudgetExceeded"),
+    (_window("1000000,0", "0", "1"), 1, "", "BudgetExceeded"),
+    (_window("0,1000000", "0", "1"), 1, "", "BudgetExceeded"),
+    (_window("1000000,0", "0", "0"), 0, _H0, None),
+    (_window("0,1", "0", _BIG), 0, _H0, None),
+    (_window("0,0", "0", _BIG), 0, _H0, None),
+]
+
+
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code, expected_out, error_name",
+    HOSTILE_CASES,
+    ids=[f"{i}-{case[0][0]}" for i, case in enumerate(HOSTILE_CASES)],
+)
+def test_hostile_sizes_are_quick(argv, expected_code, expected_out, error_name):
+    # a fresh process under a 2 GB address-space limit, so that a
+    # regression fails as a MemoryError instead of filling memory
+    pytest.importorskip("resource")
+    src = pathlib.Path(grassmann.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "grasskit.cli", *argv], capture_output=True, text=True,
+        env=env, preexec_fn=_limit_memory, timeout=30,
+    )
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stdout) == (expected_code, expected_out)
+    if error_name is None:
+        assert proc.stderr == ""
+    else:
+        assert proc.stderr.startswith(f"{error_name}: ") and "Traceback" not in proc.stderr
+
+
 _SMALL_WINDOW = ["derham-cohomology", "--dims", "1,0", "--max-degree", "1", "--max-weight", "1"]
 
 

@@ -6,6 +6,7 @@ and the differential applies the graded Leibniz rule slot by slot.
 None of it shares code with the packed monomial implementation.
 """
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -344,6 +345,31 @@ def test_form_blocks_caps_exponents_past_64_coordinates():
     assert sum(len(v) for v in blocks.values()) == 66
     with pytest.raises(BudgetExceeded, match="more than 49 monomials of 65 coordinates"):
         form_blocks(65, 0, max_degree=0, max_weight=1, budget=50)
+
+
+def test_bounded_tuples_are_every_small_exponent_tuple():
+    for parts in range(5):
+        for max_total in range(6):
+            got = list(derham._bounded_tuples(parts, max_total))
+            assert all(sum(t) == total for t, total in got)
+            assert [total for _, total in got] == sorted(total for _, total in got)
+            expected = {
+                t for t in itertools.product(range(max_total + 1), repeat=parts)
+                if sum(t) <= max_total
+            }
+            assert len(got) == len(expected) and {t for t, _ in got} == expected
+
+
+def test_cohomology_refuses_more_degrees_than_its_budget():
+    # the result lists max_degree + 1 degrees; a window over the budget
+    # is still refused by its monomial count first
+    for route in (cohomology_dims, cohomology_dims_by_homotopy):
+        assert route(0, 0, max_degree=9, max_weight=0, budget=10) == [1] + [0] * 9
+        with pytest.raises(BudgetExceeded) as exc:
+            route(0, 0, max_degree=10, max_weight=0, budget=10)
+        assert str(exc.value) == "max degree 10 lists more degrees than budget 10"
+        with pytest.raises(BudgetExceeded, match="^more than 10 monomials in"):
+            route(2, 2, max_degree=10, max_weight=5, budget=10)
 
 
 def test_cohomology_is_trivial_in_positive_degree():

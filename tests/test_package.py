@@ -1,6 +1,7 @@
 """The package's public names."""
 
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -21,3 +22,23 @@ def test_star_import():
     namespace = {}
     exec("from grasskit import *", namespace)
     assert "GrassmannElement" in namespace and "cohomology_dims" in namespace
+
+
+def test_bench_tracer_binds_every_traced_name(monkeypatch):
+    # bench/spans.py wraps functions and methods by name; deleting or
+    # moving one of them (or a method out of its class body) must fail
+    # here, not only in the traced benchmark run
+    from cli_cases import run_cli
+    from grasskit import cli, grassmann
+
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spans = importlib.import_module("spans")
+    main, to_text = cli.main, grassmann.GrassmannElement.__dict__["to_text"]
+    tracer = spans.Tracer()
+    with tracer:
+        assert cli.main is not main
+        assert run_cli(["mul", "-q", "2", "xi1", "xi2"]) == (0, "xi1*xi2\n", "")
+    metrics = tracer.metrics()
+    assert metrics["cli.main.calls"] == 1 and metrics["grassmann.mul.calls"] == 1
+    assert cli.main is main and grassmann.GrassmannElement.__dict__["to_text"] is to_text

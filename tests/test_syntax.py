@@ -408,6 +408,30 @@ def test_endo_support_is_capped_before_anything_is_allocated():
     assert parse("endo", "xi65536=xi1").support == 65536
 
 
+def test_indices_ranks_and_dims_past_the_cap_are_refused():
+    # a monomial costs one bit per generator index, a map one image per
+    # source generator and a form one exponent per coordinate
+    cap = 1 << 16
+    assert parse("element", f"xi{cap}", rank=cap).terms == {1 << (cap - 1): 1}
+    with pytest.raises(BudgetExceeded) as exc:
+        parse("element", f"xi{cap + 1}", rank=10**11)
+    assert str(exc.value) == f"xi{cap + 1} is over the {cap}-generator cap"
+    with pytest.raises(BudgetExceeded, match=f"^xi{10**11} is over"):
+        parse("endo", f"xi1=xi{10**11}")
+    # an index over the rank keeps its own error, however large
+    with pytest.raises(IndexOutOfRange):
+        parse("element", f"xi{10**11}", rank=2)
+    assert len(parse("hom", "xi1=xi1", source_rank=cap, target_rank=1).images) == cap
+    with pytest.raises(BudgetExceeded) as exc:
+        parse("hom", "xi1=xi1", source_rank=10**11, target_rank=1)
+    assert str(exc.value) == f"map source rank {10**11} is over the {cap}-generator cap"
+    assert str(parse("form", "x1", even_dim=cap, odd_dim=0)) == "x1"
+    for kind in ("form", "superfunction"):
+        with pytest.raises(BudgetExceeded) as exc:
+            parse(kind, "1", even_dim=0, odd_dim=cap + 1)
+        assert str(exc.value) == f"domain (0, {cap + 1}) is over the {cap}-coordinate cap"
+
+
 # texts over the grammar's alphabet plus characters it has no use for
 _ALPHABET = [
     "xi1", "xi2", "x1", "x2", "th1", "dx1", "dxi1", "zeta", "q",
