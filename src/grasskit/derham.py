@@ -158,6 +158,12 @@ def _wedge_mono(a: FormMonomial, b: FormMonomial) -> tuple[FormMonomial, int] | 
     return mono, sign
 
 
+def _check_dims(even_dim: int, odd_dim: int) -> tuple[int, int]:
+    if even_dim < 0 or odd_dim < 0:
+        raise NonCanonicalRank("dimensions must be nonnegative")
+    return even_dim, odd_dim
+
+
 class SuperForm(TermMap):
     """A differential form on a superdomain, as a sparse monomial sum."""
 
@@ -166,8 +172,7 @@ class SuperForm(TermMap):
     _sort_key = staticmethod(FormMonomial.sort_key)
 
     def __init__(self, even_dim: int, odd_dim: int, terms: Mapping[FormMonomial, Fraction]):
-        if even_dim < 0 or odd_dim < 0:
-            raise NonCanonicalRank("dimensions must be nonnegative")
+        _check_dims(even_dim, odd_dim)
         for mono, coeff in terms.items():
             if len(mono.x_exp) != even_dim or len(mono.dxi_exp) != odd_dim:
                 raise IndexOutOfRange(
@@ -206,6 +211,7 @@ class SuperForm(TermMap):
     ) -> "SuperForm":
         """Build from raw (x exponents, xi indices, dx indices, dxi
         exponents, coeff) tuples; odd index lists may be unsorted."""
+        space = _check_dims(even_dim, odd_dim)
         acc: dict[FormMonomial, Fraction] = {}
         for x_exp, xi_idx, dx_idx, dxi_exp, raw_coeff in raw_terms:
             coeff = as_scalar(raw_coeff)
@@ -231,7 +237,7 @@ class SuperForm(TermMap):
                 continue
             mono = FormMonomial(x_exp, xi_mask, dx_mask, dxi_exp)
             accumulate(acc, mono, coeff * s1 * s2)
-        return cls._make((even_dim, odd_dim), acc)
+        return cls._make(space, acc)
 
     @property
     def even_dim(self) -> int:
@@ -299,11 +305,12 @@ class SuperForm(TermMap):
 
 
 def constant_form(even_dim: int, odd_dim: int, value: ScalarLike) -> SuperForm:
-    return SuperForm._scalar((even_dim, odd_dim), as_scalar(value))
+    return SuperForm._scalar(_check_dims(even_dim, odd_dim), as_scalar(value))
 
 
 def _unit_form(even_dim: int, odd_dim: int, kind: str, index: int) -> SuperForm:
     """The generator of the given kind ("x", "xi", "dx" or "dxi")."""
+    space = _check_dims(even_dim, odd_dim)
     dim = even_dim if kind in ("x", "dx") else odd_dim
     if index < 1 or index > dim:
         raise IndexOutOfRange(f"{kind} index {index} outside 1..{dim}")
@@ -318,7 +325,7 @@ def _unit_form(even_dim: int, odd_dim: int, kind: str, index: int) -> SuperForm:
     else:
         dxi_exp[index - 1] = 1
     mono = FormMonomial(tuple(x_exp), xi_mask, dx_mask, tuple(dxi_exp))
-    return SuperForm._make((even_dim, odd_dim), {mono: Fraction(1)})
+    return SuperForm._make(space, {mono: Fraction(1)})
 
 
 def x_form(even_dim: int, odd_dim: int, index: int) -> SuperForm:
@@ -474,6 +481,7 @@ def form_blocks(
     meets those in ascending order.  Within a block, monomials come in
     walk order.
     """
+    _check_dims(even_dim, odd_dim)
     if max_degree < 0 or max_weight < 0:
         raise NonCanonicalRank("bounds must be nonnegative")
     width = even_dim + odd_dim

@@ -49,22 +49,8 @@ from .errors import (
 
 __all__ = [
     "Scalar",
-    "ScalarLike",
     "Parity",
-    "TermMap",
-    "accumulate",
-    "product",
-    "render_terms",
-    "coeff_text",
-    "power_names",
     "GrassmannElement",
-    "as_scalar",
-    "mask_of",
-    "indices_of",
-    "sort_with_sign",
-    "merge_sign",
-    "monomial_key",
-    "monomial_masks",
     "zero",
     "one",
     "scalar_element",
@@ -83,6 +69,15 @@ __all__ = [
 
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
+
+# a short text can ask for exponentially many terms: the inverse of
+# 1 + xi1*xi2 + ... + xi59*xi60 has 2^30 of them
+_MAX_TERMS = 1 << 16
+_MAX_PAIRS = 1 << 26
+
+
+def _term_cap(count: int) -> BudgetExceeded:
+    return BudgetExceeded(f"{count} terms are over the {_MAX_TERMS}-term cap")
 
 
 def as_scalar(value: ScalarLike) -> Fraction:
@@ -201,6 +196,8 @@ class TermMap:
     @classmethod
     def _make(cls, space, terms: dict):
         # trusted path for canonical dicts produced internally
+        if len(terms) > _MAX_TERMS:
+            raise _term_cap(len(terms))
         self = object.__new__(cls)
         self._space = space
         self._terms = terms
@@ -605,8 +602,14 @@ def mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     overlapping ones skipped.  The sign of xi_L * xi_R is the parity of
     popcount(R & odd), where bit j of odd is set when L has an odd number
     of bits above j.  Integer sums become one Fraction per output mask.
+    Past _MAX_PAIRS term pairs, or _MAX_TERMS partial terms, it refuses.
     """
     a._check(b, "multiply")
+    if len(a._terms) * len(b._terms) > _MAX_PAIRS:
+        raise BudgetExceeded(
+            f"product of {len(a._terms)} by {len(b._terms)} terms is over the "
+            f"{_MAX_PAIRS}-pair cap"
+        )
     den_a, nums_a = a._numerators()
     den_b, nums_b = b._numerators()
     space = a._space
@@ -617,6 +620,8 @@ def mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     acc: dict[int, int] = {}
     get = acc.get
     for left, na in nums_a.items():
+        if len(acc) > _MAX_TERMS:
+            raise _term_cap(len(acc))
         # suffix xor: bit j of odd is the parity of left's bits above j
         odd = left >> 1
         shift = 1

@@ -4,12 +4,14 @@ import argparse
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 import cli_cases
 from cli_cases import run_cli
@@ -329,6 +331,12 @@ def _window(dims, degree, weight):
     return ["derham-cohomology", "--dims", dims, "--max-degree", degree, "--max-weight", weight]
 
 
+def _pairs(first, count):
+    """1 + xi_f*xi_f+1 + ...: count commuting pairs, so 2^count terms in
+    its inverse or in its count-th power."""
+    return "1 + " + " + ".join(f"xi{i}*xi{i + 1}" for i in range(first, first + 2 * count, 2))
+
+
 # (argv, exit code, stdout, error name): sizes a short text can ask for
 # that would take gigabytes or hours unless refused or walked lazily
 HOSTILE_CASES = [
@@ -359,6 +367,12 @@ HOSTILE_CASES = [
     (_window("1000000,0", "0", "0"), 0, _H0, None),
     (_window("0,1", "0", _BIG), 0, _H0, None),
     (_window("0,0", "0", _BIG), 0, _H0, None),
+    (["invert", "-q", "60", _pairs(1, 30)], 1, "", "BudgetExceeded"),
+    (["point-eval", "--dims", "1,0", "-q", "60", "x1^30", _pairs(1, 30)],
+     1, "", "BudgetExceeded"),
+    # two powers of 2^15 terms each, then one product of 2^30 pairs
+    (["point-eval", "--dims", "2,0", "-q", "60", "x1^15*x2^15",
+      f"{_pairs(1, 15)}; {_pairs(31, 15)}"], 1, "", "BudgetExceeded"),
 ]
 
 
@@ -484,6 +498,54 @@ def test_usage_errors_exit_2():
     assert code == 2 and "usage" in err
     code, _, err = run_cli([])
     assert code == 2
+
+
+# ------------------------------------------------- fuzzed contract
+
+# payloads alternate the grammar's operand and operator tokens, so that
+# many of them parse; ranks, dims and window bounds are small or past 64
+_OPERANDS = st.sampled_from(["xi1", "xi2", "xi3", "xi65", "x1", "x2", "th1", "th2", "dx1",
+                             "dxi1", "zeta", "q", "0", "1", "2", "65", "70"])
+_OPERATORS = st.sampled_from(["+", "-", "*", "/", "^", "=", ";", ":"])
+_PAYLOADS = st.builds(
+    lambda sep, first, rest: sep.join([first, *(token for pair in rest for token in pair)]),
+    st.sampled_from([" ", ""]), _OPERANDS, st.lists(st.tuples(_OPERATORS, _OPERANDS), max_size=6),
+)
+_INTS = st.sampled_from([str(i) for i in range(-1, 5)] + ["65", "70"])
+
+
+@st.composite
+def _argv(draw):
+    """A random argv for a random verb, shaped by that verb's table row."""
+    verb = draw(st.sampled_from(sorted(cli._VERBS)))
+    argv = [verb, "--json"] if draw(st.booleans()) else [verb]
+    for spec in cli._VERBS[verb].arguments:
+        (flag, *_), options = ((spec,), {}) if isinstance(spec, str) else spec
+        if "choices" in options:
+            value = draw(st.sampled_from(options["choices"]))
+        elif options.get("type") is int:
+            value = draw(_INTS)
+        elif options.get("type") is cli._dims:
+            value = f"{draw(_INTS)},{draw(_INTS)}"
+        else:
+            value = draw(_PAYLOADS)
+        if not flag.startswith("-"):
+            argv.append(value)
+        elif options.get("required") or draw(st.booleans()):
+            argv += [flag, value]
+    return argv
+
+
+@given(_argv())
+def test_fuzzed_argv_keeps_the_cli_contract(argv):
+    # hostile sizes stay in the subprocess table above; these run in process
+    code, out, err = run_cli(argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    else:
+        assert re.match(r"[A-Z]\w*: |usage: grasskit", err), err
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------- console script

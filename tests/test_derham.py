@@ -18,6 +18,7 @@ from grasskit import derham
 from grasskit import (
     BudgetExceeded,
     FormMonomial,
+    NonCanonicalRank,
     NotClosed,
     SuperForm,
     antiderivative,
@@ -326,6 +327,30 @@ def test_antiderivative_drops_constants():
 
 
 # ------------------------------------------------- cohomology
+
+NEGATIVE_DIM_BUILDERS = {
+    "SuperForm": lambda m, n: SuperForm(m, n, {}),
+    "from_terms": lambda m, n: SuperForm.from_terms(m, n, []),
+    "from_json": lambda m, n: SuperForm.from_json({"even_dim": m, "odd_dim": n, "terms": []}),
+    "constant_form": lambda m, n: constant_form(m, n, 1),
+    "x_form": lambda m, n: x_form(m, n, 1),
+    "xi_form": lambda m, n: xi_form(m, n, 1),
+    "dx_form": lambda m, n: dx_form(m, n, 1),
+    "dxi_form": lambda m, n: dxi_form(m, n, 1),
+    "form_blocks": lambda m, n: form_blocks(m, n, 1, 1),
+    "cohomology_dims": lambda m, n: cohomology_dims(m, n, 1, 1),
+    "cohomology_dims_by_homotopy": lambda m, n: cohomology_dims_by_homotopy(m, n, 1, 1),
+}
+
+
+@pytest.mark.parametrize("dims", [(-1, 0), (0, -1), (-1, 1)])
+@pytest.mark.parametrize("builder", NEGATIVE_DIM_BUILDERS)
+def test_builders_refuse_negative_dimensions(builder, dims):
+    # both cohomology routes used to answer on a (-1, 0) domain, and
+    # differently: [0, 0] against [1, 0]
+    with pytest.raises(NonCanonicalRank, match="dimensions must be nonnegative"):
+        NEGATIVE_DIM_BUILDERS[builder](*dims)
+
 
 def test_form_blocks_smallest_window():
     blocks = form_blocks(0, 1, max_degree=1, max_weight=1)

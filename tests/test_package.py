@@ -1,6 +1,7 @@
 """The package's public names."""
 
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -16,6 +17,23 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+# the modules grasskit/__init__.py republishes, each with one star import
+REPUBLISHED = ["errors", "grassmann", "homs", "points", "semigroup", "derham", "syntax"]
+
+
+def test_package_surface_is_the_republished_all_lists():
+    public = sorted(
+        name for name, value in vars(grasskit).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    )
+    modules = [importlib.import_module(f"grasskit.{name}") for name in REPUBLISHED]
+    # each public name sits in exactly one list, and each listed name is exported
+    assert sorted(name for module in modules for name in module.__all__) == public
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(grasskit, name) is getattr(module, name), name
 
 
 def test_star_import():
