@@ -46,7 +46,9 @@ All coefficients are exact rationals and all values immutable.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, islice
+from functools import cache
+from itertools import combinations, combinations_with_replacement, compress
+from math import comb
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
@@ -103,20 +105,16 @@ class FormMonomial(NamedTuple):
 
     @property
     def weight(self) -> int:
-        return (
-            sum(self.x_exp)
-            + self.xi_mask.bit_count()
-            + self.dx_mask.bit_count()
-            + sum(self.dxi_exp)
-        )
+        return self.degree + sum(self.x_exp) + self.xi_mask.bit_count()
 
     @property
     def weight_vector(self) -> tuple[int, ...]:
         """Generator count per coordinate slot: x_i and dx_i in slot i,
         xi_a and dxi_a in slot m + a."""
-        return tuple(
-            e + (self.dx_mask >> i & 1) for i, e in enumerate(self.x_exp)
-        ) + tuple(e + (self.xi_mask >> a & 1) for a, e in enumerate(self.dxi_exp))
+        vector = [*self.x_exp, *self.dxi_exp]
+        for bit in _bits(self.dx_mask | self.xi_mask << len(self.x_exp)):
+            vector[bit.bit_length() - 1] += 1
+        return tuple(vector)
 
     @property
     def total_parity(self) -> int:
@@ -131,6 +129,13 @@ class FormMonomial(NamedTuple):
             indices_of(self.dx_mask),
             self.dxi_exp,
         )
+
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first, each as a one-bit int."""
+    while mask:
+        yield mask & -mask
+        mask &= mask - 1
 
 
 def _wedge_mono(a: FormMonomial, b: FormMonomial) -> tuple[FormMonomial, int] | None:
@@ -359,17 +364,14 @@ def _d_rule(mono: FormMonomial) -> list[tuple[FormMonomial, int]]:
     x_exp, xi_mask, dx_mask, dxi_exp = mono
     n_xi = xi_mask.bit_count()
     out = []
-    for i, e in enumerate(x_exp):
+    for i, e in compress(enumerate(x_exp), x_exp):
         # a mask bit is built only where it is needed: 1 << i costs i bits
-        if e and not dx_mask >> i & 1:
+        if not dx_mask >> i & 1:
             bit = 1 << i
             hops = n_xi + (dx_mask & (bit - 1)).bit_count()
             key = FormMonomial(_shift(x_exp, i, -1), xi_mask, dx_mask | bit, dxi_exp)
             out.append((key, -e if hops & 1 else e))
-    rest = xi_mask
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
+    for bit in _bits(xi_mask):
         hops = (xi_mask & (bit - 1)).bit_count()
         key = FormMonomial(x_exp, xi_mask ^ bit, dx_mask, _shift(dxi_exp, bit.bit_length() - 1, 1))
         out.append((key, -1 if hops & 1 else 1))
@@ -381,15 +383,12 @@ def _euler_rule(mono: FormMonomial) -> list[tuple[FormMonomial, int]]:
     x_exp, xi_mask, dx_mask, dxi_exp = mono
     n_xi = xi_mask.bit_count()
     out = []
-    rest = dx_mask
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
+    for bit in _bits(dx_mask):
         hops = n_xi + (dx_mask & (bit - 1)).bit_count()
         key = FormMonomial(_shift(x_exp, bit.bit_length() - 1, 1), xi_mask, dx_mask ^ bit, dxi_exp)
         out.append((key, -1 if hops & 1 else 1))
-    for a, e in enumerate(dxi_exp):
-        if e and not xi_mask >> a & 1:
+    for a, e in compress(enumerate(dxi_exp), dxi_exp):
+        if not xi_mask >> a & 1:
             bit = 1 << a
             hops = (xi_mask & (bit - 1)).bit_count()
             key = FormMonomial(x_exp, xi_mask | bit, dx_mask, _shift(dxi_exp, a, -1))
@@ -435,29 +434,48 @@ def antiderivative(form: SuperForm) -> SuperForm:
 
 def _bounded_tuples(parts: int, max_total: int):
     """(t, sum(t)) for every tuple t of parts nonnegative ints summing to
-    at most max_total, by ascending sum."""
+    at most max_total, by ascending sum; the zero tuple draws from an
+    empty pool, as in _bounded_masks."""
     if parts < 2:
-        # no bars to place; combinations would copy its whole pool
+        # one part takes the whole total; adding units one by one costs W^2
         for total in range(max_total + 1 if parts else 1):
             yield (total,) * parts, total
         return
+    zeros = [0] * parts
     for total in range(max_total + 1):
-        # stars and bars: parts - 1 bars among total + parts - 1 places,
-        # and each exponent is the run of stars between two bars
-        end = total + parts - 1
-        for bars in combinations(range(end), parts - 1):
-            edges = (-1, *bars, end)
-            yield tuple(edges[i + 1] - edges[i] - 1 for i in range(parts)), total
+        for units in combinations_with_replacement(range(parts if total else 0), total):
+            exp = zeros.copy()  # one C copy plus total units: cost follows the support
+            for i in units:
+                exp[i] += 1
+            yield tuple(exp), total
 
 
 def _bounded_masks(dim: int, max_bits: int):
     """(mask, popcount) for every subset of at most max_bits of dim
-    generators, so no mask over the bound is ever visited.  Each mask is
-    built when it is visited: a list of all dim bits would hold about
-    dim^2 / 16 bytes."""
+    generators, each built when visited (a list of all dim bits would
+    hold about dim^2 / 16 bytes).  combinations copies its whole pool, so
+    the empty subset draws from an empty one."""
     for size in range(min(dim, max_bits) + 1):
-        for chosen in combinations(range(dim), size):
+        for chosen in combinations(range(dim if size else 0), size):
             yield sum(map((1).__lshift__, chosen)), size
+
+
+def _window_size(m: int, n: int, max_degree: int, max_weight: int, limit: int) -> int:
+    """The window's monomials, counted from binomials until past limit: at
+    weight w and degree p, t dx's, p - t dxi's, s xi's and w - p - s x's.
+    With no odd coordinates p <= m, with no even ones w <= p + n."""
+    def spread(k, slots):  # ways to spread k powers over slots coordinates
+        return comb(k + slots - 1, k) if slots else int(k == 0)
+    top_degree = max_degree if n else min(max_degree, m)
+    total = 0
+    for w in range(max_weight + 1 if m else min(max_weight, top_degree + n) + 1):
+        for p in range(0 if m else max(0, w - n), min(top_degree, w) + 1):
+            for t in range(min(m, p) + 1):
+                for s in range(min(n, w - p) + 1):
+                    total += comb(m, t) * spread(p - t, n) * comb(n, s) * spread(w - p - s, m)
+            if total > limit:
+                return total
+    return total
 
 
 def form_blocks(
@@ -469,12 +487,11 @@ def form_blocks(
 ) -> dict[tuple[int, int], list[FormMonomial]]:
     """All monomials bucketed by (form degree, weight), within bounds.
 
-    Raises BudgetExceeded when more than budget monomials would be
-    enumerated.  A monomial holds m + n exponents, so past 64
-    coordinates the budget caps exponents instead, 64 per monomial; a
-    wide window then cannot fill memory before the count runs out.
-    Every visited mask yields a monomial, so the work grows with the
-    window, not with 2^dim.
+    Raises BudgetExceeded when the window holds more than budget
+    monomials, counted in closed form before any monomial is built.  Past
+    64 coordinates the budget caps exponents instead, 64 per monomial, so
+    a wide window cannot fill memory.  Every visited mask yields a
+    monomial, so the work grows with the window, not with 2^dim.
 
     Blocks come in the order a walk over every mask would first meet
     them: a block key depends only on sums and popcounts, and each loop
@@ -488,32 +505,23 @@ def form_blocks(
     limit, wide = budget, ""
     if width > 64:
         limit, wide = budget * 64 // width, f" of {width} coordinates"
-    refusal = f"more than {limit} monomials{wide} in the requested degree/weight window"
-    if limit < 1:  # before even the constant monomial is built
-        raise BudgetExceeded(refusal)
-    walks: dict[tuple, list] = {}
+    if _window_size(even_dim, odd_dim, max_degree, max_weight, limit) > limit:
+        raise BudgetExceeded(f"more than {limit} monomials{wide} in the requested "
+                             "degree/weight window")
 
+    @cache
     def walk(bounded, dim: int, bound: int) -> list:
-        # each item below yields at least one monomial, so a walk cut
-        # after limit + 1 items overruns the budget before its end
-        key = (bounded, dim, bound)
-        if key not in walks:
-            walks[key] = list(islice(bounded(dim, bound), limit + 1))
-        return walks[key]
+        return list(bounded(dim, bound))
 
     blocks: dict[tuple[int, int], list[FormMonomial]] = {}
-    count = 0
     for x_exp, weight_x in _bounded_tuples(even_dim, max_weight):
-        for xi_mask, n_xi in walk(_bounded_masks, odd_dim, max_weight - weight_x):
+        for xi_mask, n_xi in walk(_bounded_masks, odd_dim, min(odd_dim, max_weight - weight_x)):
             weight_xi = weight_x + n_xi
-            dx_bound = min(max_weight - weight_xi, max_degree)
+            dx_bound = min(max_weight - weight_xi, max_degree, even_dim)
             for dx_mask, degree_dx in walk(_bounded_masks, even_dim, dx_bound):
                 weight_dx = weight_xi + degree_dx
                 room = min(max_weight - weight_dx, max_degree - degree_dx)
                 for dxi_exp, extra in walk(_bounded_tuples, odd_dim, room):
-                    count += 1
-                    if count > limit:
-                        raise BudgetExceeded(refusal)
                     mono = FormMonomial(x_exp, xi_mask, dx_mask, dxi_exp)
                     blocks.setdefault((degree_dx + extra, weight_dx + extra), []).append(mono)
     return blocks

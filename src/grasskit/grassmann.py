@@ -602,7 +602,8 @@ def mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     overlapping ones skipped.  The sign of xi_L * xi_R is the parity of
     popcount(R & odd), where bit j of odd is set when L has an odd number
     of bits above j.  Integer sums become one Fraction per output mask.
-    Past _MAX_PAIRS term pairs, or _MAX_TERMS partial terms, it refuses.
+    Past _MAX_PAIRS term pairs, or _MAX_TERMS nonzero partial terms, it
+    refuses.
     """
     a._check(b, "multiply")
     if len(a._terms) * len(b._terms) > _MAX_PAIRS:
@@ -619,9 +620,16 @@ def mul(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     get_b = nums_b.get
     acc: dict[int, int] = {}
     get = acc.get
+    prune_at = _MAX_TERMS
     for left, na in nums_a.items():
-        if len(acc) > _MAX_TERMS:
-            raise _term_cap(len(acc))
+        if len(acc) > prune_at:
+            # sums that cancelled to 0 do not count toward the cap; the
+            # next pruning waits until acc doubles, so pruning stays linear
+            acc = {key: n for key, n in acc.items() if n}
+            get = acc.get
+            if len(acc) > _MAX_TERMS:
+                raise _term_cap(len(acc))
+            prune_at = max(_MAX_TERMS, 2 * len(acc))
         # suffix xor: bit j of odd is the parity of left's bits above j
         odd = left >> 1
         shift = 1

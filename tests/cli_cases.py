@@ -7,7 +7,9 @@ once.
 """
 
 import contextlib
+import hashlib
 import io
+import pathlib
 
 from grasskit import cli
 
@@ -95,3 +97,11 @@ def render_blob(code, out, err):
 
 def run_case(argv):
     return render_blob(*run_cli(argv))
+
+
+CORPUS = pathlib.Path(__file__).parent / "golden" / "corpus.json.gz"
+
+
+def corpus_digest(code, out, err):
+    """Short sha256 of one invocation's whole observable behavior."""
+    return hashlib.sha256(repr((code, out, err)).encode()).hexdigest()[:16]

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end."""
 
 import argparse
+import gzip
 import json
 import os
 import pathlib
@@ -290,6 +291,13 @@ def test_huge_rank_with_few_terms_is_quick(argv, expected):
     assert time.perf_counter() - start < 2
 
 
+def test_mul_whose_partial_sums_cancel_is_not_refused():
+    # an odd linear element squares to 0, though its 79,800 cross terms
+    # pass the term cap before they cancel
+    odd = " + ".join(f"xi{i}" for i in range(1, 401))
+    assert run_cli(["mul", "-q", "400", odd, odd]) == (0, "0\n", "")
+
+
 def test_huge_endo_support_is_a_quick_budget_error():
     start = time.perf_counter()
     code, out, err = run_cli(
@@ -571,6 +579,16 @@ def test_console_script():
 
 
 # ------------------------------------------------- goldens
+
+def test_corpus_replays_byte_identical():
+    # 781 benchmark requests over all 15 verbs, each pinned by a digest of
+    # its exit code, stdout and stderr; tests/make_corpus.py wrote the
+    # file once, and this test only reads it
+    corpus = json.loads(gzip.decompress(cli_cases.CORPUS.read_bytes()))
+    differ = [argv for argv, digest in corpus
+              if cli_cases.corpus_digest(*run_cli(argv)) != digest]
+    assert not differ, f"{len(differ)} of {len(corpus)} requests differ, first {differ[0]}"
+
 
 @pytest.mark.parametrize(
     "name,argv", cli_cases.CASES, ids=[case[0] for case in cli_cases.CASES]

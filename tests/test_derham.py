@@ -372,6 +372,35 @@ def test_form_blocks_caps_exponents_past_64_coordinates():
         form_blocks(65, 0, max_degree=0, max_weight=1, budget=50)
 
 
+def test_window_count_is_the_number_of_monomials_built():
+    # the budget is decided by this count alone, before the walk, so it
+    # must match the walk on every small window and at the far edges
+    windows = [(m, n, degree, weight) for m in range(5) for n in range(5)
+               for degree in range(6) for weight in range(6)]
+    windows += [(0, 1, 1, 10**11), (2, 2, 10**11, 0), (65, 0, 1, 1), (1, 0, 0, 100_000)]
+    for window in windows:
+        built = sum(map(len, form_blocks(*window, budget=10**6).values()))
+        assert derham._window_size(*window, limit=10**6) == built, window
+
+
+@pytest.mark.parametrize("window, refusal", [
+    ((3000, 0, 0, 1), "more than 2133 monomials of 3000 coordinates"),
+    ((10**9, 0, 0, 0), "more than 0 monomials of 1000000000 coordinates"),
+    ((1, 0, 0, 100_000), "more than 100000 monomials"),
+    ((10**6, 0, 0, 1), "more than 6 monomials of 1000000 coordinates"),
+    ((0, 10**6, 0, 1), "more than 6 monomials of 1000000 coordinates"),
+])
+def test_refused_window_builds_no_monomial(monkeypatch, window, refusal):
+    def walk(*_):
+        raise AssertionError("a refused window reached the walk")
+
+    monkeypatch.setattr(derham, "_bounded_tuples", walk)
+    monkeypatch.setattr(derham, "_bounded_masks", walk)
+    with pytest.raises(BudgetExceeded) as exc:
+        form_blocks(*window)
+    assert str(exc.value) == f"{refusal} in the requested degree/weight window"
+
+
 def test_bounded_tuples_are_every_small_exponent_tuple():
     for parts in range(5):
         for max_total in range(6):
