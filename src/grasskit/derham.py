@@ -257,13 +257,6 @@ class SuperForm(TermMap):
         weights = {m.weight for m in self._terms}
         return weights.pop() if len(weights) == 1 else None
 
-    def weight_split(self) -> dict[int, "SuperForm"]:
-        """Decompose into homogeneous-weight pieces."""
-        buckets: dict[int, dict[FormMonomial, Fraction]] = {}
-        for mono, coeff in self._terms.items():
-            buckets.setdefault(mono.weight, {})[mono] = coeff
-        return {w: self._make(self._space, terms) for w, terms in sorted(buckets.items())}
-
     def to_text(self) -> str:
         def factors(mono: FormMonomial) -> list[str]:
             return (
@@ -420,16 +413,16 @@ def antiderivative(form: SuperForm) -> SuperForm:
 
     For closed omega with weight decomposition sum of omega_w, returns
     tau = sum over w >= 1 of (1/w) euler_contract(omega_w), which
-    satisfies d(tau) = omega minus its weight-0 (constant) part.
+    satisfies d(tau) = omega minus its weight-0 (constant) part.  i_E
+    keeps weight, so one pass over omega with each coefficient divided
+    by its monomial's weight builds the whole sum.
     """
     if not exterior_d(form).is_zero:
         raise NotClosed("form is not closed, it has no primitive")
-    total = constant_form(form.even_dim, form.odd_dim, 0)
-    for w, piece in form.weight_split().items():
-        if w == 0:
-            continue
-        total = total + euler_contract(piece) * Fraction(1, w)
-    return total
+    scaled = {
+        mono: coeff / w for mono, coeff in form._terms.items() if (w := mono.weight)
+    }
+    return SuperForm._make(form._space, _apply(scaled, _euler_rule))
 
 
 def _bounded_tuples(parts: int, max_total: int):

@@ -109,22 +109,12 @@ def product(a_terms: Mapping, b_terms: Mapping, merge) -> dict:
     here: mul visits only disjoint mask pairs and sums integer numerators.
     """
     acc: dict = {}
-    get = acc.get
     for ka, ca in a_terms.items():
         for kb, cb in b_terms.items():
             merged = merge(ka, kb)
-            if merged is None:
-                continue
-            key, sign = merged
-            piece = ca * cb if sign > 0 else -(ca * cb)
-            # accumulate(), inlined: this is the innermost loop of the
-            # SuperFunction and SuperForm products
-            old = get(key)
-            new = piece if old is None else old + piece
-            if new:
-                acc[key] = new
-            else:
-                del acc[key]
+            if merged is not None:
+                key, sign = merged
+                accumulate(acc, key, ca * cb if sign > 0 else -(ca * cb))
     return acc
 
 
@@ -186,12 +176,11 @@ class TermMap:
     and to_text.
     """
 
-    __slots__ = ("_space", "_terms", "_hash")
+    __slots__ = ("_space", "_terms")
 
     def __init__(self, space, terms: Mapping[object, Fraction]):
         self._space = space
         self._terms = dict(terms)
-        self._hash: int | None = None
 
     @classmethod
     def _make(cls, space, terms: dict):
@@ -201,7 +190,6 @@ class TermMap:
         self = object.__new__(cls)
         self._space = space
         self._terms = terms
-        self._hash = None
         return self
 
     @classmethod
@@ -232,9 +220,7 @@ class TermMap:
         return self._space == other._space and self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self._space, frozenset(self._terms.items())))
-        return self._hash
+        return hash((self._space, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -471,7 +457,8 @@ class GrassmannElement(TermMap):
         C(e, k) * b**(e - k) * s**k: at most q products whatever e is.
         Negative powers are powers of the inverse.  The body of the
         result is exactly b**e, so a power whose body would be too long
-        to print is refused before it is computed.
+        to print is refused before it is computed; the running sum is
+        held to the term cap after each power of s.
         """
         if not isinstance(exponent, int):
             return NotImplemented
@@ -498,6 +485,8 @@ class GrassmannElement(TermMap):
             if c:
                 for mask, coeff in s_k._terms.items():
                     accumulate(acc, mask, coeff * c)
+                if len(acc) > _MAX_TERMS:
+                    raise _term_cap(len(acc))
         return self._make(self._space, acc)
 
     def to_text(self, zeta: bool = False) -> str:

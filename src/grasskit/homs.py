@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import (
@@ -322,7 +322,7 @@ def odd_line_epi(subalgebra: SubalgebraBasis) -> OddLineHom:
         support.update(elem.terms.keys())
     beta = min(support, key=monomial_key)
     hom = OddLineHom(subalgebra.rank, beta, Fraction(1), subalgebra)
-    report = verify_hom(hom, subalgebra.basis)
+    report = verify_hom(hom)
     if not report.ok:
         raise InternalCheckFailed(
             "internal check failed: readout map is not a homomorphism on "
@@ -350,11 +350,8 @@ class HomReport:
         )
 
 
-HomLike = Union[GradedHom, OddLineHom]
-
-
 def verify_hom(
-    hom: HomLike,
+    hom: GradedHom | OddLineHom,
     domain_basis: Sequence[GrassmannElement] | None = None,
     pair_products: Mapping[tuple[int, int], GrassmannElement] | None = None,
 ) -> HomReport:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -287,21 +288,12 @@ def eval_superfunction(f: SuperFunction, point: QPoint) -> GrassmannElement:
         )
     rank = point.rank
     total = zero(rank)
-    power_cache: dict[tuple[int, int], GrassmannElement] = {}
-
-    def even_power(i: int, e: int) -> GrassmannElement:
-        key = (i, e)
-        found = power_cache.get(key)
-        if found is None:
-            found = point.evens[i] ** e
-            power_cache[key] = found
-        return found
-
+    power = cache(lambda i, e: point.evens[i] ** e)
     for (exponents, amask), coeff in f.terms.items():
         value = scalar_element(rank, coeff)
         for i, e in enumerate(exponents):
             if e and not value.is_zero:
-                value = mul(value, even_power(i, e))
+                value = mul(value, power(i, e))
         for a in indices_of(amask):
             if value.is_zero:
                 break

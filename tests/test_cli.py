@@ -381,6 +381,9 @@ HOSTILE_CASES = [
     # two powers of 2^15 terms each, then one product of 2^30 pairs
     (["point-eval", "--dims", "2,0", "-q", "60", "x1^15*x2^15",
       f"{_pairs(1, 15)}; {_pairs(31, 15)}"], 1, "", "BudgetExceeded"),
+    # a 2^18-term power, refused once its running sum passes the cap
+    (["point-eval", "--dims", "1,0", "-q", "36", "x1^18", _pairs(1, 18)],
+     1, "", "BudgetExceeded"),
 ]
 
 
@@ -482,8 +485,9 @@ def _verb_parsers():
 
 
 def test_usage_lines_match_golden(monkeypatch):
-    # usage lines, unlike full --help bodies, read the same on every
-    # supported Python version; COLUMNS fixes where they wrap
+    # usage lines, unlike full --help bodies, read the same on Python
+    # 3.10 to 3.12 (3.13 wraps four of them differently); COLUMNS fixes
+    # where they wrap
     monkeypatch.setenv("COLUMNS", "80")
     parser, verbs = _verb_parsers()
     blob = parser.format_usage() + "".join(p.format_usage() for p in verbs.values())
@@ -506,6 +510,14 @@ def test_usage_errors_exit_2():
     assert code == 2 and "usage" in err
     code, _, err = run_cli([])
     assert code == 2
+
+
+def test_negative_dims_need_the_equals_form():
+    # as with --lambda, a bare -1,0 reads as an option to argparse
+    code, out, err = run_cli(["derham-d", "--dims", "-1,0", "x1"])
+    assert (code, out) == (2, "") and "--dims: expected one argument" in err
+    code, out, err = run_cli(["derham-d", "--dims=-1,0", "x1"])
+    assert (code, out) == (2, "") and "dims must be nonnegative" in err
 
 
 # ------------------------------------------------- fuzzed contract

@@ -314,6 +314,25 @@ def test_antiderivative_inverts_d_on_exact_forms():
         assert exterior_d(antiderivative(omega)) == omega
 
 
+def test_antiderivative_is_the_weighted_euler_sum():
+    # d(tau) = omega - omega_0 holds for any primitive; this pins tau to
+    # sum over w >= 1 of (1/w) i_E(omega_w) on forms of mixed weight
+    rng = random.Random(610)
+    mixed = 0
+    for _ in range(60):
+        m, n = rng.randint(0, 3), rng.randint(0, 3)
+        omega = exterior_d(support.random_form(rng, m, n, max_terms=5))
+        omega = omega + constant_form(m, n, support.random_scalar(rng))
+        weights = {mono.weight for mono in omega.terms} - {0}
+        mixed += len(weights) > 1
+        expected = constant_form(m, n, 0)
+        for w in weights:
+            piece = {mono: c for mono, c in omega.terms.items() if mono.weight == w}
+            expected = expected + euler_contract(SuperForm(m, n, piece)) * F(1, w)
+        assert antiderivative(omega) == expected
+    assert mixed > 10
+
+
 def test_antiderivative_rejects_non_closed_forms():
     xi1 = xi_form(0, 1, 1)
     dxi1 = dxi_form(0, 1, 1)

@@ -22,7 +22,10 @@ from grasskit import (
     NotInvertible,
     Parity,
     RankMismatch,
+    SuperDomainSpec,
+    SuperFunction,
     body,
+    constant_form,
     filtration_level,
     generator,
     include_rank,
@@ -35,6 +38,7 @@ from grasskit import (
     parity_decompose,
     project_rank,
     scalar_element,
+    xi_form,
     zero,
 )
 from grasskit.grassmann import (
@@ -514,9 +518,21 @@ def test_items_iterate_in_monomial_order():
 
 
 def test_equality_and_hash():
-    a = one(2) + generator(2, 1)
-    b = generator(2, 1) + one(2)
-    assert a == b
-    assert hash(a) == hash(b)
-    assert len({a, b}) == 1
-    assert a != include_rank(a, 3)
+    # one check per TermMap class: u + v and v + u fill their term maps
+    # in opposite orders, and the same sum over a wider space differs
+    def superfunction(n):
+        spec = SuperDomainSpec(1, n)
+        return SuperFunction.constant(spec, 1), SuperFunction.coordinate(spec, "th", 1)
+
+    for parts in (
+        lambda n: (one(n), generator(n, 1)),
+        superfunction,
+        lambda n: (constant_form(1, n, 1), xi_form(1, n, 1)),
+    ):
+        u, v = parts(2)
+        a, b = u + v, v + u
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        u, v = parts(3)
+        assert a != u + v
