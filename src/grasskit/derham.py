@@ -177,21 +177,19 @@ class SuperForm(TermMap):
     _sort_key = staticmethod(FormMonomial.sort_key)
 
     def __init__(self, even_dim: int, odd_dim: int, terms: Mapping[FormMonomial, Fraction]):
-        _check_dims(even_dim, odd_dim)
-        for mono, coeff in terms.items():
-            if len(mono.x_exp) != even_dim or len(mono.dxi_exp) != odd_dim:
-                raise IndexOutOfRange(
-                    f"monomial shape does not match ({even_dim}, {odd_dim})"
-                )
-            if mono.xi_mask >> odd_dim or mono.dx_mask >> even_dim:
-                raise IndexOutOfRange(
-                    f"monomial uses indices outside ({even_dim}, {odd_dim})"
-                )
-            if any(e < 0 for e in mono.x_exp) or any(e < 0 for e in mono.dxi_exp):
-                raise ValueError("exponents must be nonnegative")
-            if not isinstance(coeff, Fraction) or coeff == 0:
-                raise ValueError("coefficients must be nonzero Fractions")
-        super().__init__((even_dim, odd_dim), terms)
+        super().__init__(_check_dims(even_dim, odd_dim), terms)
+
+    @staticmethod
+    def _check_key(space: tuple[int, int], mono: FormMonomial) -> None:
+        if not isinstance(mono, FormMonomial):
+            raise TypeError("form monomials must be FormMonomial")
+        even_dim, odd_dim = space
+        if len(mono.x_exp) != even_dim or len(mono.dxi_exp) != odd_dim:
+            raise IndexOutOfRange(f"monomial shape does not match {space}")
+        if mono.xi_mask >> odd_dim or mono.dx_mask >> even_dim:
+            raise IndexOutOfRange(f"monomial uses indices outside {space}")
+        if min((0, *mono.x_exp, *mono.dxi_exp)) < 0:
+            raise ValueError("exponents must be nonnegative")
 
     @staticmethod
     def _unit(space: tuple[int, int]) -> FormMonomial:
@@ -220,12 +218,6 @@ class SuperForm(TermMap):
         acc: dict[FormMonomial, Fraction] = {}
         for x_exp, xi_idx, dx_idx, dxi_exp, raw_coeff in raw_terms:
             coeff = as_scalar(raw_coeff)
-            x_exp = tuple(x_exp)
-            dxi_exp = tuple(dxi_exp)
-            if len(x_exp) != even_dim or len(dxi_exp) != odd_dim:
-                raise IndexOutOfRange(
-                    f"term shape does not match ({even_dim}, {odd_dim})"
-                )
             for i in xi_idx:
                 if i < 1 or i > odd_dim:
                     raise IndexOutOfRange(f"xi index {i} outside 1..{odd_dim}")
@@ -233,15 +225,11 @@ class SuperForm(TermMap):
                 if i < 1 or i > even_dim:
                     raise IndexOutOfRange(f"dx index {i} outside 1..{even_dim}")
             xi_mask, s1 = sort_with_sign(list(xi_idx))
-            if s1 == 0:
-                continue
             dx_mask, s2 = sort_with_sign(list(dx_idx))
-            if s2 == 0:
-                continue
-            if coeff == 0:
-                continue
-            mono = FormMonomial(x_exp, xi_mask, dx_mask, dxi_exp)
-            accumulate(acc, mono, coeff * s1 * s2)
+            mono = FormMonomial(tuple(x_exp), xi_mask, dx_mask, tuple(dxi_exp))
+            cls._check_key(space, mono)
+            if s1 and s2 and coeff:
+                accumulate(acc, mono, coeff * s1 * s2)
         return cls._make(space, acc)
 
     @property

@@ -170,7 +170,8 @@ class TermMap:
     """An immutable sparse map from monomial keys to nonzero Fractions.
 
     _space is what two operands must share: a rank, or a pair of
-    dimensions.  A subclass supplies _unit (the unit monomial of a
+    dimensions.  A subclass supplies _check_key (the refusal of a key
+    that is not a monomial of a space), _unit (the unit monomial of a
     space), _sort_key (the canonical key order), _times (the product of
     two values), _mismatch (the error for operands in different spaces)
     and to_text.
@@ -179,6 +180,16 @@ class TermMap:
     __slots__ = ("_space", "_terms")
 
     def __init__(self, space, terms: Mapping[object, Fraction]):
+        # the public path: a subclass checks its space, then calls this
+        if len(terms) > _MAX_TERMS:
+            raise _term_cap(len(terms))
+        check_key = self._check_key
+        for key, coeff in terms.items():
+            check_key(space, key)
+            if not isinstance(coeff, Fraction):
+                raise TypeError("coefficients must be Fraction")
+            if coeff == 0:
+                raise ValueError("zero coefficients must be dropped")
         self._space = space
         self._terms = dict(terms)
 
@@ -363,17 +374,12 @@ class GrassmannElement(TermMap):
 
     def __init__(self, rank: int, terms: Mapping[int, Fraction]):
         _check_rank(rank)
-        limit = 1 << rank
-        for mask, coeff in terms.items():
-            if not isinstance(mask, int) or mask < 0 or mask >= limit:
-                raise IndexOutOfRange(
-                    f"monomial {mask!r} does not fit in rank {rank}"
-                )
-            if not isinstance(coeff, Fraction):
-                raise TypeError("coefficients must be Fraction")
-            if coeff == 0:
-                raise ValueError("zero coefficients must be dropped")
         super().__init__(rank, terms)
+
+    @staticmethod
+    def _check_key(rank: int, mask: int) -> None:
+        if not isinstance(mask, int) or mask < 0 or mask >> rank:
+            raise IndexOutOfRange(f"monomial {mask!r} does not fit in rank {rank}")
 
     @staticmethod
     def _unit(rank: int) -> int:
@@ -466,9 +472,10 @@ class GrassmannElement(TermMap):
             return invert(self) ** (-exponent)
         b = self.body()
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        # exact product: the exponent may be too large for a float
+        # b**e has floor(digits) + 1 digits; the product is exact, as the
+        # exponent may be too large for a float
         digits = exponent * Fraction(log10(max(abs(b.numerator), b.denominator)))
-        if limit and digits > limit:
+        if limit and digits >= limit:
             raise BudgetExceeded(
                 f"power with a body of about {coeff_text(int(digits) + 1)} "
                 f"digits is over the {limit}-digit print limit"

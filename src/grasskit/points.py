@@ -75,13 +75,6 @@ class SuperDomainSpec:
 _Key = tuple[tuple[int, ...], int]
 
 
-def _check_exponents(spec: SuperDomainSpec, exponents: tuple[int, ...]) -> None:
-    if len(exponents) != spec.even_dim:
-        raise DomainMismatch(f"{spec.even_dim} exponents expected, got {len(exponents)}")
-    if any(e < 0 for e in exponents):
-        raise ValueError("exponents must be nonnegative")
-
-
 def _merge_keys(a: _Key, b: _Key) -> tuple[_Key, int] | None:
     sign = merge_sign(a[1], b[1])
     if sign == 0:
@@ -99,17 +92,19 @@ class SuperFunction(TermMap):
     __slots__ = ()
 
     def __init__(self, spec: SuperDomainSpec, terms: Mapping[_Key, Fraction]):
-        limit = 1 << spec.odd_dim
-        for (exponents, amask), coeff in terms.items():
-            _check_exponents(spec, exponents)
-            if amask < 0 or amask >= limit:
-                raise IndexOutOfRange(
-                    f"odd monomial {amask!r} does not fit in {spec.odd_dim} "
-                    "odd coordinates"
-                )
-            if not isinstance(coeff, Fraction) or coeff == 0:
-                raise ValueError("coefficients must be nonzero Fractions")
         super().__init__((spec.even_dim, spec.odd_dim), terms)
+
+    @staticmethod
+    def _check_key(space: tuple[int, int], key: _Key) -> None:
+        (even_dim, odd_dim), (exponents, amask) = space, key
+        if len(exponents) != even_dim:
+            raise DomainMismatch(f"{even_dim} exponents expected, got {len(exponents)}")
+        if min((0, *exponents)) < 0:
+            raise ValueError("exponents must be nonnegative")
+        if amask < 0 or amask >> odd_dim:
+            raise IndexOutOfRange(
+                f"odd monomial {amask!r} does not fit in {odd_dim} odd coordinates"
+            )
 
     @staticmethod
     def _unit(space: tuple[int, int]) -> _Key:
@@ -134,21 +129,22 @@ class SuperFunction(TermMap):
         raw_terms: Iterable[tuple[Sequence[int], Sequence[int], ScalarLike]],
     ) -> "SuperFunction":
         """Build from raw (exponents, odd index sequence, coeff) triples."""
+        space = (spec.even_dim, spec.odd_dim)
         acc: dict[_Key, Fraction] = {}
         for exponents, odd_indices, raw_coeff in raw_terms:
             coeff = as_scalar(raw_coeff)
-            exponents = tuple(exponents)
-            _check_exponents(spec, exponents)
             for a in odd_indices:
                 if a < 1 or a > spec.odd_dim:
                     raise IndexOutOfRange(
                         f"odd index {a} outside 1..{spec.odd_dim}"
                     )
             amask, sign = sort_with_sign(list(odd_indices))
+            key = (tuple(exponents), amask)
+            cls._check_key(space, key)
             if sign == 0 or coeff == 0:
                 continue
-            accumulate(acc, (exponents, amask), coeff if sign > 0 else -coeff)
-        return cls._make((spec.even_dim, spec.odd_dim), acc)
+            accumulate(acc, key, coeff if sign > 0 else -coeff)
+        return cls._make(space, acc)
 
     @classmethod
     def constant(cls, spec: SuperDomainSpec, value: ScalarLike) -> "SuperFunction":

@@ -204,6 +204,7 @@ ERROR_CASES = [
     ),
     (["parse-check", "hom", "xi1=xi1"], 2, "ParseError"),
     (["parse-check", "point", "xi1", "--dims", "0,1"], 2, "ParseError"),
+    (["parse-check", "form", "dx1"], 2, "ParseError"),
     # operation phase: 1
     (["invert", "-q", "2", "xi1"], 1, "NotInvertible"),
     (["mul", "-q", "2", "q=2: xi1", "q=3: xi2"], 1, "RankMismatch"),
@@ -518,6 +519,16 @@ def test_negative_dims_need_the_equals_form():
     assert (code, out) == (2, "") and "--dims: expected one argument" in err
     code, out, err = run_cli(["derham-d", "--dims=-1,0", "x1"])
     assert (code, out) == (2, "") and "dims must be nonnegative" in err
+
+
+@pytest.mark.parametrize("dims,message", [
+    ("1", "dims must look like M,N"),
+    ("1,0,0", "dims must look like M,N"),
+    ("a,0", "dims must be integers"),
+])
+def test_dims_must_be_two_integers(dims, message):
+    code, out, err = run_cli(["derham-d", "--dims", dims, "x1"])
+    assert (code, out) == (2, "") and f"--dims: {message}" in err
 
 
 # ------------------------------------------------- fuzzed contract

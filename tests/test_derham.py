@@ -389,6 +389,11 @@ def test_form_blocks_caps_exponents_past_64_coordinates():
     assert sum(len(v) for v in blocks.values()) == 66
     with pytest.raises(BudgetExceeded, match="more than 49 monomials of 65 coordinates"):
         form_blocks(65, 0, max_degree=0, max_weight=1, budget=50)
+    # at exactly 64 coordinates the budget is not scaled and the refusal
+    # names no width
+    assert sum(len(v) for v in form_blocks(64, 0, 0, 1, budget=65).values()) == 65
+    with pytest.raises(BudgetExceeded, match="^more than 64 monomials in the requested"):
+        form_blocks(64, 0, max_degree=0, max_weight=1, budget=64)
 
 
 def test_window_count_is_the_number_of_monomials_built():

@@ -28,6 +28,7 @@ from grasskit import (
     constant_form,
     filtration_level,
     generator,
+    grassmann,
     include_rank,
     invert,
     monomial_basis,
@@ -400,6 +401,38 @@ def test_power_with_a_body_too_long_to_print_is_refused_before_it_is_computed(
     # without a print limit nothing is projected
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
     assert (a**14300).body() == 2**14300
+
+
+def test_power_refuses_a_body_one_digit_past_the_print_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter prints integers of any length")
+    ten = scalar_element(0, 10)
+    # 10**(limit - 1) has exactly limit digits and prints
+    assert str(ten ** (limit - 1)) == "1" + "0" * (limit - 1)
+    with pytest.raises(
+        BudgetExceeded,
+        match=f"power with a body of about {limit + 1} digits is over the {limit}-digit",
+    ):
+        ten**limit
+
+
+# ------------------------------------------------- size caps
+
+def test_mul_pair_cap_boundary(monkeypatch):
+    monkeypatch.setattr(grassmann, "_MAX_PAIRS", 6)
+    six = normalize(3, [((), 1), ((1,), 1), ((2,), 1), ((3,), 1), ((1, 2), 1), ((1, 3), 1)])
+    assert mul(six, one(3)) == six
+    with pytest.raises(BudgetExceeded, match="product of 7 by 1 terms is over the 6-pair cap"):
+        mul(six + monomial_element(3, (2, 3)), one(3))
+
+
+def test_values_built_inside_the_library_obey_the_term_cap(monkeypatch):
+    monkeypatch.setattr(grassmann, "_MAX_TERMS", 3)
+    three = normalize(2, [((), 1), ((1,), 1), ((2,), 1)])
+    assert len(three.terms) == 3
+    with pytest.raises(BudgetExceeded, match="^4 terms are over the 3-term cap$"):
+        three + monomial_element(2, (1, 2))
 
 
 # ------------------------------------------------- rank changes

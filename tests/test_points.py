@@ -103,6 +103,10 @@ def test_superfunction_validates_indices():
     spec = SuperDomainSpec(1, 1)
     with pytest.raises(IndexOutOfRange):
         SuperFunction.coordinate(spec, "th", 2)
+    with pytest.raises(IndexOutOfRange, match="^index 2 outside 1..1$"):
+        SuperFunction.coordinate(spec, "x", 2)
+    with pytest.raises(IndexOutOfRange, match="^index 0 outside 1..1$"):
+        SuperFunction.coordinate(spec, "x", 0)
     with pytest.raises(ValueError):
         SuperFunction.coordinate(spec, "y", 1)
 
