@@ -64,6 +64,7 @@ from .grassmann import (
     TermMap,
     accumulate,
     as_scalar,
+    check_ints,
     coeff_text,
     indices_of,
     merge_sign,
@@ -188,6 +189,7 @@ class SuperForm(TermMap):
             raise IndexOutOfRange(f"monomial shape does not match {space}")
         if mono.xi_mask >> odd_dim or mono.dx_mask >> even_dim:
             raise IndexOutOfRange(f"monomial uses indices outside {space}")
+        check_ints((*mono.x_exp, *mono.dxi_exp), "exponents")
         if min((0, *mono.x_exp, *mono.dxi_exp)) < 0:
             raise ValueError("exponents must be nonnegative")
 
@@ -218,6 +220,7 @@ class SuperForm(TermMap):
         acc: dict[FormMonomial, Fraction] = {}
         for x_exp, xi_idx, dx_idx, dxi_exp, raw_coeff in raw_terms:
             coeff = as_scalar(raw_coeff)
+            check_ints((*xi_idx, *dx_idx), "generator indices")
             for i in xi_idx:
                 if i < 1 or i > odd_dim:
                     raise IndexOutOfRange(f"xi index {i} outside 1..{odd_dim}")
@@ -517,17 +520,6 @@ def _window(even_dim, odd_dim, max_degree, max_weight, budget) -> dict:
     return blocks
 
 
-def _d_rank(monos: Sequence[FormMonomial]) -> int:
-    """Exact rank of d on one block, from integer rows of the d rule."""
-    columns: dict[FormMonomial, int] = {}
-    rows = [
-        {columns.setdefault(key, len(columns)): c for key, c in _d_rule(mono)}
-        for mono in monos
-    ]
-    width = range(len(columns))
-    return linalg.rank_of([[row.get(j, 0) for j in width] for row in rows])
-
-
 def cohomology_dims(
     even_dim: int,
     odd_dim: int,
@@ -541,15 +533,18 @@ def cohomology_dims(
     (degree, weight vector) block contributes independently: the
     dimension at degree p is the sum over weight vectors v of the
     nullity of d on block (p, v) minus the rank of d arriving from
-    (p-1, v).  Ranks are exact, by fraction-free elimination on the
-    integer matrix of d.  Nothing here uses i_E, so this route stays
-    independent of the homotopy route.
+    (p-1, v).  Ranks are exact: linalg.rank_of eliminates on the sparse
+    rows of d, one per monomial of the block.  Nothing here uses i_E, so
+    this route stays independent of the homotopy route.
     """
     blocks: dict[tuple[int, tuple[int, ...]], list[FormMonomial]] = {}
     for (p, _), monos in _window(even_dim, odd_dim, max_degree, max_weight, budget).items():
         for mono in monos:
             blocks.setdefault((p, mono.weight_vector), []).append(mono)
-    ranks = {key: _d_rank(monos) for key, monos in blocks.items()}
+    ranks = {
+        key: linalg.rank_of(dict(_d_rule(mono)) for mono in monos)
+        for key, monos in blocks.items()
+    }
     dims = [0] * (max_degree + 1)
     for (p, v), monos in blocks.items():
         dims[p] += len(monos) - ranks[p, v] - ranks.get((p - 1, v), 0)

@@ -561,6 +561,12 @@ def monomial_basis(rank: int) -> list[GrassmannElement]:
     ]
 
 
+def check_ints(values: Iterable, what: str) -> None:
+    """Refuse values that are not all ints; a bool is not one."""
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+        raise TypeError(f"{what} must be ints")
+
+
 def normalize(
     rank: int, raw_terms: Iterable[tuple[Sequence[int], ScalarLike]]
 ) -> GrassmannElement:
@@ -574,9 +580,8 @@ def normalize(
     acc: dict[int, Fraction] = {}
     for indices, raw_coeff in raw_terms:
         coeff = as_scalar(raw_coeff)
+        check_ints(indices, "generator indices")
         for i in indices:
-            if not isinstance(i, int) or isinstance(i, bool):
-                raise TypeError("generator indices must be ints")
             if i < 1 or i > rank:
                 raise IndexOutOfRange(
                     f"index {i} outside 1..{rank}"

@@ -400,8 +400,7 @@ def verify_hom(
 
     surjective: bool | None = None
     if target_rank == 1:
-        rows = [[img.body(), img.coefficient(1)] for img in images]
-        surjective = linalg.rank_of(rows) == 2
+        surjective = linalg.rank_of(img.terms for img in images) == 2
 
     return HomReport(
         unital, tuple(mult_failures), tuple(grading_failures), surjective

@@ -1,18 +1,19 @@
 """Exact Gaussian elimination over the rationals.
 
-Small dense routines over rows that are lists of Fraction (rank_of also
-takes ints); everything stays exact, nothing here is numeric in the
-floating-point sense.  rank_of serves verify_hom and the de Rham blocks.
-rref and reduce_against are the reference elimination: the tests use
-them as an oracle independent of the sparse echelon basis that
-homs.subalgebra_closure keeps, and the benchmark tracer hooks them.
+Everything stays exact; nothing here is numeric in the floating-point
+sense.  rank_of takes sparse rows, maps from column to Fraction or int,
+and serves verify_hom and the de Rham blocks.  rref and reduce_against
+work on dense rows, lists of Fraction, and are the reference
+elimination: the tests use them as an oracle independent of rank_of and
+of the sparse echelon basis that homs.subalgebra_closure keeps, and the
+benchmark tracer hooks them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from math import gcd, lcm
+from typing import Hashable, Iterable, Mapping, Sequence
 
 __all__ = ["rref", "rank_of", "reduce_against"]
 
@@ -55,40 +56,35 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     return work[:top], pivots
 
 
-def rank_of(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank of the row span, by forward elimination only.
+def rank_of(rows: Iterable[Mapping[Hashable, Fraction | int]]) -> int:
+    """Rank of the span of sparse rows, each a map from column to value.
 
+    Columns may be any hashable keys that compare with one another.
     Each row is scaled by the lcm of its denominators, so the work is on
-    integers.  Elimination is fraction-free in Bareiss's way ("Sylvester's
-    identity and multistep integer-preserving Gaussian elimination", Math.
-    Comp. 22, 1968): after a pivot, every row below becomes (pivot * row -
-    lead * pivot row) / previous pivot, a division that is exact, so the
-    entries stay minors of the input.  Pivots are neither normalized nor
-    cleared upwards.
+    integers, then reduced against the pivot rows kept so far, each filed
+    under its least column, until it is zero or leads with a new column.
+    A reduced row is divided by the gcd of its entries before it is kept.
     """
-    work = []
+    pivots: dict = {}
     for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (scale // x.denominator) for x in row]
-        if any(ints):
-            work.append(ints)
-    rank, prev = 0, 1
-    for col in range(len(work[0]) if work else 0):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        top = work[rank]
-        lead = top[col]
-        for r in range(rank + 1, len(work)):
-            row = work[r]
-            factor = row[col]
-            work[r] = [(lead * x - factor * y) // prev for x, y in zip(row, top)]
-        prev = lead
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+        scale = lcm(*(x.denominator for x in row.values()))
+        vec = {col: x.numerator * (scale // x.denominator) for col, x in row.items() if x}
+        while vec:
+            lead = min(vec)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                g = gcd(*vec.values())
+                pivots[lead] = {col: x // g for col, x in vec.items()}
+                break
+            a, b = pivot[lead], vec[lead]
+            vec = {col: a * x for col, x in vec.items()}
+            for col, y in pivot.items():
+                x = vec.get(col, 0) - b * y
+                if x:
+                    vec[col] = x
+                else:
+                    del vec[col]
+    return len(pivots)
 
 
 def reduce_against(

@@ -35,6 +35,7 @@ from .grassmann import (
     TermMap,
     accumulate,
     as_scalar,
+    check_ints,
     coeff_text,
     indices_of,
     merge_sign,
@@ -99,6 +100,7 @@ class SuperFunction(TermMap):
         (even_dim, odd_dim), (exponents, amask) = space, key
         if len(exponents) != even_dim:
             raise DomainMismatch(f"{even_dim} exponents expected, got {len(exponents)}")
+        check_ints(exponents, "exponents")
         if min((0, *exponents)) < 0:
             raise ValueError("exponents must be nonnegative")
         if amask < 0 or amask >> odd_dim:
@@ -133,6 +135,7 @@ class SuperFunction(TermMap):
         acc: dict[_Key, Fraction] = {}
         for exponents, odd_indices, raw_coeff in raw_terms:
             coeff = as_scalar(raw_coeff)
+            check_ints(odd_indices, "generator indices")
             for a in odd_indices:
                 if a < 1 or a > spec.odd_dim:
                     raise IndexOutOfRange(

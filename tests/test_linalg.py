@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
+import pytest
 from hypothesis import given, strategies as st
 
+from grasskit import derham
 from grasskit.linalg import rank_of, reduce_against, rref
 
 F = Fraction
@@ -12,6 +15,10 @@ F = Fraction
 
 def _rows(*data):
     return [[F(x) for x in row] for row in data]
+
+
+def _sparse(rows):
+    return [dict(enumerate(row)) for row in rows]
 
 
 def test_rref_known_matrix():
@@ -78,10 +85,10 @@ def test_reduce_against_detects_new_directions():
 
 
 def test_rank_of():
-    assert rank_of(_rows([1, 2], [2, 4])) == 1
-    assert rank_of(_rows([1, 0], [0, 1])) == 2
+    assert rank_of(_sparse(_rows([1, 2], [2, 4]))) == 1
+    assert rank_of(_sparse(_rows([1, 0], [0, 1]))) == 2
     assert rank_of([]) == 0
-    assert rank_of(_rows([0, 0])) == 0
+    assert rank_of(_sparse(_rows([0, 0]))) == 0
 
 
 _entries = st.one_of(
@@ -96,9 +103,26 @@ _entries = st.one_of(
     )
 )
 def test_rank_of_matches_rref(rows):
-    assert rank_of(rows) == len(rref(rows)[0])
+    assert rank_of(_sparse(rows)) == len(rref(rows)[0])
 
 
 def test_rank_of_takes_integer_rows():
-    assert rank_of([[2, 4, 6], [1, 2, 3], [0, 1, 1]]) == 2
-    assert rank_of([[F(1, 3), F(1, 2)], [2, 3]]) == 1
+    assert rank_of(_sparse([[2, 4, 6], [1, 2, 3], [0, 1, 1]])) == 2
+    assert rank_of(_sparse([[F(1, 3), F(1, 2)], [2, 3]])) == 1
+
+
+@pytest.mark.parametrize("window", [(2, 2, 3, 4), (1, 3, 4, 5), (3, 1, 3, 4)])
+def test_rank_of_on_the_rows_of_d(window):
+    """Each (degree, weight vector) block's d rows, keyed by FormMonomial
+    as cohomology_dims passes them, against rref of the dense matrix."""
+    blocks = {}
+    for monos in derham.form_blocks(*window).values():
+        for mono in monos:
+            blocks.setdefault((mono.degree, mono.weight_vector), []).append(mono)
+    for monos in blocks.values():
+        rows = [dict(derham._d_rule(mono)) for mono in monos]
+        columns = sorted({col for row in rows for col in row})
+        dense = [[F(row.get(col, 0)) for col in columns] for row in rows]
+        rank = len(rref(dense)[0])
+        assert rank_of(rows) == rank
+        assert rank_of(MappingProxyType(row) for row in rows) == rank

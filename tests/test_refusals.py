@@ -106,6 +106,12 @@ REFUSALS = {
         ValueError, "exponents must be nonnegative",
         lambda: SuperFunction.from_json({"even_dim": 1, "odd_dim": 1, "terms": [
             {"exponents": [-1], "odd_indices": [], "coeff": "1"}]})),
+    "superfunction from_terms exponent not an int": (
+        TypeError, "exponents must be ints",
+        lambda: SuperFunction.from_terms(SuperDomainSpec(1, 0), [((0.5,), [], 1)])),
+    "superfunction from_terms odd index a bool": (
+        TypeError, "generator indices must be ints",
+        lambda: SuperFunction.from_terms(SPEC_11, [((0,), [True], 1)])),
     # derham
     "form shape": (
         IndexOutOfRange, "monomial shape does not match (1, 1)",
@@ -147,6 +153,12 @@ REFUSALS = {
     "form from_json negative exponent": (
         ValueError, "exponents must be nonnegative",
         lambda: SuperForm.from_json(_form_json(dxi_exponents=(-2,)))),
+    "form from_json exponent not an int": (
+        TypeError, "exponents must be ints",
+        lambda: SuperForm.from_json(_form_json(x_exponents=(1.5,)))),
+    "form from_terms xi index not an int": (
+        TypeError, "generator indices must be ints",
+        lambda: SuperForm.from_terms(1, 1, [((0,), [1.0], [], (0,), 1)])),
     "form generator index": (
         IndexOutOfRange, "x index 2 outside 1..1", lambda: derham.x_form(1, 1, 2)),
     "form odd generator index": (
